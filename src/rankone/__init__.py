@@ -63,6 +63,7 @@ from .words import (
     RankOneWord,
     build_word,
     builds,
+    decode,
     expected_occurrences,
     letter_at,
     occurrences,

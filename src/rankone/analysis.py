@@ -28,7 +28,7 @@ from .params import (
     ParameterSpec,
     PartialBoundednessCertificate,
     certified,
-    heights,
+    stage_table,
 )
 from .tower import NameWindow
 from .words import build_word, expected_occurrences, gap_instances, occurrences
@@ -45,11 +45,11 @@ def select_kappa(
     variation bound."""
     if certificate is None:
         certificate = certified(spec)
+    table = stage_table(spec)
     kappa = 0
-    while True:
-        if heights(spec, kappa)[kappa] > certificate.S_frak:
-            return kappa
+    while table.view(kappa).h <= certificate.S_frak:
         kappa += 1
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def classify(pair: CandidatePair) -> Classification:
     """Classify every occurrence of w_n in the x window."""
     spec = pair.spec
     wn = build_word(spec, pair.n).letters
-    wk_len = heights(spec, pair.kappa)[pair.kappa]
+    wk_len = stage_table(spec).view(pair.kappa).h
     reach = len(wn) - wk_len
     x, y = pair.x, pair.y
 

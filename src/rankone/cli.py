@@ -58,9 +58,15 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    a, b = text.split(":")
-    return int(a), int(b)
+def _ints(text: str, count: int, form: str) -> tuple[int, ...]:
+    """``count`` colon-separated integers, or an input error naming ``form``."""
+    try:
+        values = tuple(int(v) for v in text.split(":"))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise RankOneError(f"bad value {text!r}; expected {form}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +78,10 @@ def cmd_word(args) -> int:
     if not spec.normalized:
         spec = params.normalize(spec)
     if args.at is not None:
-        letter, address = words.letter_at(spec, args.n, args.at)
+        try:
+            letter, address = words.letter_at(spec, args.n, args.at)
+        except IndexError as exc:
+            raise RankOneError(str(exc)) from None
         payload = {
             "n": args.n, "at": args.at, "letter": letter,
             "spacer": address.spacer, "path": list(address.path),
@@ -80,10 +89,8 @@ def cmd_word(args) -> int:
         _emit(args, payload, [str(letter)])
         return EXIT_OK
     if args.range is not None:
-        a, b = _parse_window(args.range)
-        chunk = bytes(
-            0x30 + words.letter(spec, args.n, j) for j in range(a, b)
-        )
+        a, b = _ints(args.range, 2, "a:b")
+        chunk = words.decode(spec, args.n, a, b, cap=args.cap)
         _emit(args, {"n": args.n, "range": [a, b], "letters": chunk},
               [chunk.decode("ascii")])
         return EXIT_OK
@@ -150,7 +157,7 @@ def cmd_orbit(args) -> int:
 def cmd_name(args) -> int:
     spec = _load_spec(args.spec)
     point = tower.parse_point(args.point)
-    a, b = _parse_window(args.window)
+    a, b = _ints(args.window, 2, "a:b")
     window = tower.name_window(spec, point, a, b)
     payload = {"anchor": window.anchor, "letters": window.letters}
     _emit(args, payload, [f"anchor:{window.anchor} letters:{window.to_text()}"])
@@ -160,15 +167,18 @@ def cmd_name(args) -> int:
 def _build_pair(args, spec) -> analysis.CandidatePair:
     kind, _, rest = args.y.partition(":")
     if kind == "shift":
-        return analysis.shift_pair(spec, args.n, int(rest), args.m,
-                                   kappa=args.kappa)
+        (ell,) = _ints(rest, 1, "shift:<l>")
+        return analysis.shift_pair(spec, args.n, ell, args.m, kappa=args.kappa)
     if kind == "corrupt":
-        ordinal, length = (int(v) for v in rest.split(":"))
+        ordinal, length = _ints(rest, 2, "corrupt:<gap>:<len>")
         pair, _ = analysis.corrupt_gap_pair(spec, args.n, args.m, ordinal,
                                             length, kappa=args.kappa)
         return pair
     if kind == "file":
-        letters = Path(rest).read_text().strip().encode("ascii")
+        try:
+            letters = Path(rest).read_text().strip().encode("ascii")
+        except (OSError, UnicodeError) as exc:
+            raise RankOneError(f"cannot read the image file: {exc}") from None
         x = analysis.word_window(spec, args.m)
         shared = min(len(letters), len(x))
         kappa = args.kappa if args.kappa is not None else analysis.select_kappa(spec)
@@ -276,8 +286,16 @@ def cmd_injectivity(args) -> int:
         f"trials={report.trials} separated={report.separated} "
         f"failures={len(report.failures)}"
     ]
+    complete = report.trials == args.trials
+    if not complete:
+        lines.append(
+            f"inconclusive: {report.trials} of {args.trials} trials done; "
+            f"{tower.SAME_LEVEL_RETRIES} draws in a row put both points in one level"
+        )
     _emit(args, {"report": report}, lines)
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+    if not report.ok:
+        return EXIT_NEGATIVE
+    return EXIT_OK if complete else EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ reversed-parameter system.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from typing import Optional
@@ -23,7 +22,8 @@ from .params import (
     _static_accumulator,
     certified,
     reversed_parameters,
-    stage_views,
+    rule_at,
+    stage_table,
 )
 from .tower import NameWindow
 from .words import build_word, occurrences
@@ -97,9 +97,7 @@ def group_stages(
     star-fold of the concrete tuples, outermost stage first."""
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
-    views = list(
-        itertools.islice(stage_views(spec), from_stage, from_stage + count)
-    )
+    views = stage_table(spec).views(from_stage, from_stage + count)
     q = 1
     for v in views:
         q *= v.r
@@ -149,7 +147,7 @@ def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
             detail=f"cycle position(s) {list(refuting)} are never palindromic",
         )
     threshold = 0
-    for view in itertools.islice(stage_views(spec), len(spec.preperiod)):
+    for view in stage_table(spec).views(0, len(spec.preperiod)):
         if view.spacers != tuple(reversed(view.spacers)):
             threshold = view.n + 1
     return InverseVerdict(True, threshold)
@@ -249,8 +247,8 @@ def check_non_isomorphism(
     if not symbolic_ok:
         numeric_horizon = _alignment_horizon(specA, specB) + 4 * len(aligned)
         for va, vb in zip(
-            itertools.islice(stage_views(specA), numeric_horizon),
-            itertools.islice(stage_views(specB), numeric_horizon),
+            stage_table(specA).views(0, numeric_horizon),
+            stage_table(specB).views(0, numeric_horizon),
         ):
             if va.r != vb.r or sum(va.spacers) != sum(vb.spacers):
                 return NonIsoReport(
@@ -313,7 +311,7 @@ def check_non_isomorphism(
             note="t' is the reversal of t" if t2 == reverse(t) else "",
         )
         if is_reversal_twin and positions:
-            view = next(itertools.islice(stage_views(specA), n, None))
+            view = rule_at(specA, n)
             hypothesis = view.spacers != tuple(reversed(view.spacers))
             if hypothesis and t2 == reverse(t):
                 return NonIsoReport(

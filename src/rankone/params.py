@@ -12,13 +12,15 @@ closed under moving last-column spacers to later stages.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .errors import NormalizationError, NotCertifiedError, ParseError, SpecError
 
 SYMBOLIC_HORIZON = 64  # periods to iterate row certificates before giving up
+SPEC_CACHE_SIZE = 128  # specs whose stage table and certificate stay cached
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,14 @@ class StageView:
     def all_spacers(self) -> tuple[int, ...]:
         return self.spacers if self.last is None else self.spacers + (self.last,)
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Start offsets of the r copies of w_n inside w_{n+1}."""
+        offs = [0]
+        for gap in self.spacers:
+            offs.append(offs[-1] + self.h + gap)
+        return tuple(offs)
+
 
 def stage_views(spec: ParameterSpec) -> Iterator[StageView]:
     """Yield concrete per-stage data (r_n, s_n, h_n, A_n) for n = 0, 1, 2, ..."""
@@ -162,16 +172,48 @@ def stage_views(spec: ParameterSpec) -> Iterator[StageView]:
         acc += increment
 
 
-def stage_view(spec: ParameterSpec, n: int) -> StageView:
-    return next(itertools.islice(stage_views(spec), n, None))
+class StageTable:
+    """The stage views of one spec, computed once each and kept in stage
+    order.  Every concrete stage read in the package goes through a table;
+    the lazy fill is locked so that a cached table stays shareable across
+    threads."""
+
+    def __init__(self, spec: ParameterSpec):
+        self._views: list[StageView] = []
+        self._source = stage_views(spec)
+        self._lock = threading.Lock()
+
+    def _fill(self, stop: int) -> None:
+        with self._lock:
+            while len(self._views) < stop:
+                self._views.append(next(self._source))
+
+    def view(self, n: int) -> StageView:
+        if n < 0:
+            raise SpecError(f"stage index must be >= 0, got {n}")
+        if len(self._views) <= n:
+            self._fill(n + 1)
+        return self._views[n]
+
+    def views(self, start: int, stop: int) -> list[StageView]:
+        """The views of stages start .. stop - 1."""
+        if start < 0:
+            raise SpecError(f"stage index must be >= 0, got {start}")
+        if len(self._views) < stop:
+            self._fill(stop)
+        return self._views[start:stop]
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def stage_table(spec: ParameterSpec) -> StageTable:
+    """The spec's stage table, shared by every caller while cached."""
+    return StageTable(spec)
 
 
 def rule_at(spec: ParameterSpec, n: int) -> StageView:
     """Concrete rule at stage ``n``: r_n, the evaluated spacer tuple, and the
     evaluated last-column spacer (None when absent)."""
-    if n < 0:
-        raise SpecError(f"stage index must be >= 0, got {n}")
-    return stage_view(spec, n)
+    return stage_table(spec).view(n)
 
 
 def heights(spec: ParameterSpec, up_to: int) -> list[int]:
@@ -179,13 +221,7 @@ def heights(spec: ParameterSpec, up_to: int) -> list[int]:
     h_{n+1} = r_n*h_n + sum of all stage-n spacers."""
     if up_to < 0:
         raise SpecError(f"up_to must be >= 0, got {up_to}")
-    return [v.h for v in itertools.islice(stage_views(spec), up_to + 1)]
-
-
-def registers_at(spec: ParameterSpec, n: int) -> tuple[int, int]:
-    """(h_n, A_n) at stage ``n``."""
-    v = stage_view(spec, n)
-    return v.h, v.acc
+    return [v.h for v in stage_table(spec).views(0, up_to + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +339,7 @@ def _eventually_nonneg(row, period_matrix, horizon=SYMBOLIC_HORIZON):
 def _static_accumulator(spec: ParameterSpec) -> Optional[int]:
     """A_n's eventual constant value when the cycle never increments it."""
     t0 = len(spec.preperiod)
-    acc0 = registers_at(spec, t0)[1]
+    acc0 = rule_at(spec, t0).acc
     for rule in spec.cycle:
         inc = rule.effective_acc
         if inc.a != 0 or inc.b != 0 or (inc.c != 0 and acc0 != 0):
@@ -356,7 +392,7 @@ class BoundednessResult:
 def _scan_smallest_n(spec, t_sym, cycle_r_max, cycle_diff_max):
     """Find the smallest N <= t_sym such that the concrete stages in
     [N, t_sym) satisfy condition (3); collect R/S contributions there."""
-    views = list(itertools.islice(stage_views(spec), t_sym))
+    views = stage_table(spec).views(0, t_sym)
     n_min = t_sym
     for v in reversed(views):
         if any(s < v.h for s in v.spacers):
@@ -366,9 +402,7 @@ def _scan_smallest_n(spec, t_sym, cycle_r_max, cycle_diff_max):
     diff_max = cycle_diff_max
     for v in views[n_min:]:
         r_max = max(r_max, v.r)
-        for i in range(len(v.spacers)):
-            for j in range(i + 1, len(v.spacers)):
-                diff_max = max(diff_max, abs(v.spacers[i] - v.spacers[j]))
+        diff_max = max(diff_max, max(v.spacers) - min(v.spacers))
     return n_min, r_max + 1, diff_max + 1
 
 
@@ -386,6 +420,8 @@ def check_partially_bounded(
     if mode == "numeric":
         if up_to is None:
             raise SpecError("numeric mode needs up_to")
+        if up_to < 0:
+            raise SpecError(f"up_to must be >= 0, got {up_to}")
         return _check_pb_numeric(spec, up_to)
     if mode != "symbolic":
         raise SpecError(f"unknown mode {mode!r}")
@@ -393,7 +429,7 @@ def check_partially_bounded(
 
 
 def _check_pb_numeric(spec, up_to):
-    views = list(itertools.islice(stage_views(spec), up_to + 1))
+    views = stage_table(spec).views(0, up_to + 1)
     bad_stage = -1
     witness = None
     for v in views:
@@ -410,11 +446,7 @@ def _check_pb_numeric(spec, up_to):
         )
     n0 = bad_stage + 1
     r_max = max(v.r for v in views[n0:])
-    diff_max = 0
-    for v in views[n0:]:
-        for i in range(len(v.spacers)):
-            for j in range(i + 1, len(v.spacers)):
-                diff_max = max(diff_max, abs(v.spacers[i] - v.spacers[j]))
+    diff_max = max(max(v.spacers) - min(v.spacers) for v in views[n0:])
     cert = PartialBoundednessCertificate(
         R_frak=r_max + 1, S_frak=diff_max + 1, N=n0,
         verified_mode=f"numeric-up-to({up_to})",
@@ -456,9 +488,9 @@ def _check_pb_symbolic(spec):
                 # constant spacer against strictly growing heights; the first
                 # violating stage at this position exists since h at least
                 # doubles per stage
-                for v in stage_views(spec):
-                    at_pos = v.n >= t0 and (v.n - t0) % period == pos
-                    if at_pos and e.b < v.h:
+                for n in itertools.count(t0 + pos, period):
+                    v = rule_at(spec, n)
+                    if e.b < v.h:
                         return BoundednessResult(
                             "refuted",
                             refutation=BoundednessRefutation(
@@ -477,7 +509,7 @@ def _check_pb_symbolic(spec):
                 w = _eventually_nonneg(refute_row, m)
                 if w is not None:
                     stage = t0 + pos + w * period
-                    view = stage_view(spec, stage)
+                    view = rule_at(spec, stage)
                     return BoundednessResult(
                         "refuted",
                         refutation=BoundednessRefutation(
@@ -501,7 +533,7 @@ def _check_pb_symbolic(spec):
     return BoundednessResult("certified", certificate=cert)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def certified(spec: ParameterSpec) -> PartialBoundednessCertificate:
     """The symbolic certificate, cached; raises when the spec has none."""
     result = check_partially_bounded(spec, mode="symbolic")

@@ -10,18 +10,19 @@ introduced them.
 
 from __future__ import annotations
 
-import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional
 
 from .errors import SpecError, UndefinedOrbitError
-from .params import ParameterSpec, stage_views
-from .words import DEFAULT_CAP, build_word, copy_offsets, letter
+from .params import ParameterSpec, StageTable, stage_table
+from .words import decode
 
 DEFAULT_STAGE_BUDGET = 64
 OFFSET_DENOMINATOR_BITS = 53
+SAME_LEVEL_RETRIES = 100  # consecutive same-level draws before a probe gives up
 
 
 @dataclass(frozen=True)
@@ -48,73 +49,24 @@ def parse_point(text: str) -> TowerPoint:
         raise SpecError(f"bad point {text!r}; expected n:j:p/q") from exc
 
 
-class _Columns:
-    """Per-spec cache of stage data used by the coordinate arithmetic.
-    The lazy fill is locked so cached specs stay shareable across threads."""
-
-    def __init__(self, spec: ParameterSpec):
-        self.spec = spec
-        self._views = []
-        self._offsets = []
-        self._iter = stage_views(spec)
-        self._lock = threading.Lock()
-
-    def view(self, n: int):
-        if len(self._views) <= n:
-            with self._lock:
-                while len(self._views) <= n:
-                    self._views.append(next(self._iter))
-        return self._views[n]
-
-    def height(self, n: int) -> int:
-        return self.view(n).h
-
-    def offsets(self, n: int) -> list[int]:
-        if len(self._offsets) <= n:
-            self.view(n)
-            with self._lock:
-                while len(self._offsets) <= n:
-                    self._offsets.append(
-                        copy_offsets(self._views[len(self._offsets)])
-                    )
-        return self._offsets[n]
-
-
-_COLUMN_CACHE: dict[ParameterSpec, _Columns] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _columns(spec: ParameterSpec) -> _Columns:
-    cols = _COLUMN_CACHE.get(spec)
-    if cols is None:
-        with _CACHE_LOCK:
-            cols = _COLUMN_CACHE.setdefault(spec, _Columns(spec))
-    return cols
-
-
-def _check_level(cols: _Columns, stage: int, level: int):
-    h = cols.height(stage)
+def _check_level(table: StageTable, stage: int, level: int):
+    h = table.view(stage).h
     if not 0 <= level < h:
         raise SpecError(f"level {level} out of range for C_{stage} (height {h})")
 
 
 def canonicalize(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     """Rewrite p at the smallest stage whose column contains it."""
-    cols = _columns(spec)
-    _check_level(cols, p.stage, p.level)
+    table = stage_table(spec)
+    _check_level(table, p.stage, p.level)
     stage, level, u = p.stage, p.level, p.offset
     while stage > 0:
-        below = cols.view(stage - 1)
-        offs = cols.offsets(stage - 1)
-        hit = None
-        for k in range(below.r):
-            if offs[k] <= level < offs[k] + below.h:
-                hit = k
-                break
-        if hit is None:
+        below = table.view(stage - 1)
+        k = bisect_right(below.offsets, level) - 1
+        if level - below.offsets[k] >= below.h:
             break  # a spacer level introduced at stage - 1
-        level = level - offs[hit]
-        u = Fraction(hit + u, below.r)
+        level -= below.offsets[k]
+        u = Fraction(k + u, below.r)
         stage -= 1
     return TowerPoint(stage, level, u)
 
@@ -123,11 +75,11 @@ def refine(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     """The same point in stage n+1 coordinates: pick the subcolumn the offset
     falls into and shift the level past the earlier subcolumns and their
     spacers."""
-    cols = _columns(spec)
-    _check_level(cols, p.stage, p.level)
-    view = cols.view(p.stage)
+    table = stage_table(spec)
+    _check_level(table, p.stage, p.level)
+    view = table.view(p.stage)
     k = int(p.offset * view.r)
-    new_level = p.level + cols.offsets(p.stage)[k]
+    new_level = p.level + view.offsets[k]
     return TowerPoint(p.stage + 1, new_level, p.offset * view.r - k)
 
 
@@ -137,10 +89,10 @@ def apply_T(
     """One step up the tower; refines past column tops.  Raises
     UndefinedOrbitError when the point sits on the forward orbit of the top
     edge (refinement never leaves the top level within the budget)."""
-    cols = _columns(spec)
+    table = stage_table(spec)
     p = canonicalize(spec, p)
     for _ in range(stage_budget):
-        if p.level + 1 < cols.height(p.stage):
+        if p.level + 1 < table.view(p.stage).h:
             return canonicalize(
                 spec, TowerPoint(p.stage, p.level + 1, p.offset)
             )
@@ -155,7 +107,6 @@ def apply_T_inverse(
 ) -> TowerPoint:
     """Exact inverse of apply_T; the symmetric failure is the backward orbit
     of the base's bottom edge."""
-    cols = _columns(spec)
     p = canonicalize(spec, p)
     for _ in range(stage_budget):
         if p.level > 0:
@@ -213,63 +164,6 @@ class NameWindow:
         return self.letters.decode("ascii")
 
 
-class _Walker:
-    """Orbit walker over a working (stage, level, offset) representation.
-
-    Stepping is an integer level increment except at column edges, where the
-    representation refines to a deeper stage.  Letters are read off the
-    working level; the working column's word is materialized once per stage
-    for O(1) readout (the level trajectory itself is still walked step by
-    step)."""
-
-    def __init__(self, spec, point, stage_budget=DEFAULT_STAGE_BUDGET,
-                 cap=DEFAULT_CAP):
-        self.spec = spec
-        self.cols = _columns(spec)
-        self.budget = stage_budget
-        self.cap = cap
-        self.words: dict[int, bytes] = {}
-        p = canonicalize(spec, point)
-        self.stage, self.level, self.offset = p.stage, p.level, p.offset
-
-    def _refine(self):
-        view = self.cols.view(self.stage)
-        k = int(self.offset * view.r)
-        self.level += self.cols.offsets(self.stage)[k]
-        self.offset = self.offset * view.r - k
-        self.stage += 1
-
-    def forward(self):
-        for _ in range(self.budget):
-            if self.level + 1 < self.cols.height(self.stage):
-                self.level += 1
-                return
-            self._refine()
-        raise UndefinedOrbitError(
-            f"forward orbit undefined within {self.budget} refinements"
-        )
-
-    def backward(self):
-        for _ in range(self.budget):
-            if self.level > 0:
-                self.level -= 1
-                return
-            self._refine()
-        raise UndefinedOrbitError(
-            f"backward orbit undefined within {self.budget} refinements"
-        )
-
-    def read(self) -> int:
-        word = self.words.get(self.stage)
-        if word is None:
-            if self.cols.height(self.stage) <= self.cap:
-                word = build_word(self.spec, self.stage, cap=self.cap).letters
-                self.words[self.stage] = word
-            else:
-                return letter(self.spec, self.stage, self.level)
-        return word[self.level] - 0x30
-
-
 def name_window(
     spec: ParameterSpec,
     p: TowerPoint,
@@ -277,25 +171,27 @@ def name_window(
     b: int,
     stage_budget: int = DEFAULT_STAGE_BUDGET,
 ) -> NameWindow:
-    """Letters of the point's itinerary on indices [a, b), walked step by
-    step through the tower."""
+    """Letters of the point's itinerary on indices [a, b): refine the point
+    until [level + a, level + b) fits inside one column, where the images
+    T^i p climb that column's levels, then decode that stretch of the
+    column's word."""
     if not spec.normalized:
         raise SpecError("names are read against normalized presentations")
     if a > b:
         raise SpecError(f"need a <= b, got [{a}, {b})")
     if a == b:
         return NameWindow(a, b"", provenance=str(p))
-    walker = _Walker(spec, p, stage_budget=stage_budget)
-    for _ in range(-a if a < 0 else 0):
-        walker.backward()
-    for _ in range(a if a > 0 else 0):
-        walker.forward()
-    out = bytearray()
-    for i in range(a, b):
-        out.append(0x30 + walker.read())
-        if i + 1 < b:
-            walker.forward()
-    return NameWindow(a, bytes(out), provenance=str(p))
+    table = stage_table(spec)
+    q = canonicalize(spec, p)
+    for _ in range(stage_budget + 1):
+        if q.level + a >= 0 and q.level + b <= table.view(q.stage).h:
+            letters = decode(spec, q.stage, q.level + a, q.level + b)
+            return NameWindow(a, letters, provenance=str(p))
+        q = refine(spec, q)
+    raise UndefinedOrbitError(
+        f"window [{a}, {b}) of the orbit undefined within {stage_budget} "
+        "refinements"
+    )
 
 
 def sample_point(
@@ -304,8 +200,7 @@ def sample_point(
 ) -> TowerPoint:
     """A random canonical point in column C_m: uniform level, dyadic offset.
     Dyadic offsets avoid the measure-zero edge orbits almost surely."""
-    cols = _columns(spec)
-    level = rng.randrange(cols.height(m))
+    level = rng.randrange(stage_table(spec).view(m).h)
     offset = Fraction(rng.randrange(1 << denominator_bits), 1 << denominator_bits)
     return canonicalize(spec, TowerPoint(m, level, offset))
 
@@ -324,6 +219,10 @@ def compare_names(spec, p1, p2, a, b) -> str:
 
 @dataclass(frozen=True)
 class InjectivityReport:
+    """``trials`` counts the trials done.  It falls short of the number
+    asked for only when SAME_LEVEL_RETRIES draws in a row put both points
+    in one level, as in a column whose points all canonicalize to the base."""
+
     trials: int
     separated: int
     same_level_skips: int
@@ -345,28 +244,30 @@ def verify_injectivity(
     windows differ.  Any non-separated pair is a bug (the names of points in
     distinct levels must split once the lower one exits the column top into
     spacers), so the failure list should always be empty."""
-    cols = _columns(spec)
     if window is None:
-        window = 4 * cols.height(m + 1)
+        window = 4 * stage_table(spec).view(m + 1).h
     half = window // 2
     rng = Random(seed)
     separated = 0
     skips = 0
     failures = []
     done = 0
-    while done < trials:
+    retries = 0
+    while done < trials and retries < SAME_LEVEL_RETRIES:
         p1 = sample_point(spec, m, rng)
         p2 = sample_point(spec, m, rng)
         outcome = compare_names(spec, p1, p2, -half, window - half)
         if outcome == "same_level":
             skips += 1
+            retries += 1
             continue
         done += 1
+        retries = 0
         if outcome == "separated":
             separated += 1
         else:
             failures.append((str(p1), str(p2)))
     return InjectivityReport(
-        trials=trials, separated=separated, same_level_skips=skips,
+        trials=done, separated=separated, same_level_skips=skips,
         failures=tuple(failures),
     )

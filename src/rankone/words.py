@@ -12,12 +12,12 @@ that starts the indices at 1 is read as this 0-based form).
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import CapExceededError, SpecError
-from .params import ParameterSpec, StageView, heights, stage_views
+from .params import ParameterSpec, StageView, stage_table
 
 DEFAULT_CAP = 1 << 26
 
@@ -64,32 +64,82 @@ class WordAddress:
         return self.spacer is not None
 
 
-def copy_offsets(view: StageView) -> list[int]:
-    """Start offsets of the r copies of w_n inside w_{n+1} (needs the
-    stage-n view)."""
-    offs = [0]
-    for k in range(view.r - 1):
-        offs.append(offs[-1] + view.h + view.spacers[k])
-    return offs
-
-
-def build_word(spec: ParameterSpec, n: int, cap: int = DEFAULT_CAP) -> RankOneWord:
-    """Materialize w_n by the literal recursive concatenation."""
+def _views(spec: ParameterSpec, n: int) -> list[StageView]:
+    """The stage views 0 .. n of a normalized spec."""
     if not spec.normalized:
         raise SpecError("rank-one words are defined for normalized specs")
-    hs = heights(spec, n)
-    if hs[n] > cap:
+    if n < 0:
+        raise SpecError(f"stage index must be >= 0, got {n}")
+    return stage_table(spec).views(0, n + 1)
+
+
+def decode(spec: ParameterSpec, n: int, a: int, b: int,
+           cap: int = DEFAULT_CAP) -> bytes:
+    """The letters w_n[a:b].
+
+    Descends only into the copies of w_{n-1} and the 1-runs that meet
+    [a, b); copies lying wholly inside the range are built bottom up by
+    concatenation, each stage's word at most once per call.  Costs
+    O(n * r + b - a) time and O(b - a) memory.
+    """
+    views = _views(spec, n)
+    if a > b:
+        raise SpecError(f"need a <= b, got [{a}, {b})")
+    if a < 0 or b > views[n].h:
+        raise SpecError(f"[{a}, {b}) leaves [0, {views[n].h}), the indices of w_{n}")
+    if b - a > cap:
         raise CapExceededError(
-            f"|w_{n}| = {hs[n]} exceeds the cap {cap}; use letter_at"
+            f"{b - a} letters of w_{n} exceed the cap {cap}; decode a shorter range"
         )
-    w = b"0"
-    for view in itertools.islice(stage_views(spec), n):
+    parts: list[bytes] = []
+    built = {0: b"0"}
+    pending: list = [(n, a, b)] if a < b else []
+    while pending:
+        item = pending.pop()
+        if isinstance(item, bytes):
+            parts.append(item)
+            continue
+        m, lo, hi = item
+        if lo == 0 and hi == views[m].h:
+            parts.append(_stage_word(views, m, built))
+            continue
+        view = views[m - 1]
+        offs = view.offsets
+        pieces = []
+        for k in range(bisect_right(offs, lo) - 1, view.r):
+            start = offs[k]
+            if start >= hi:
+                break
+            end = start + view.h
+            if lo < end:
+                pieces.append((m - 1, max(lo, start) - start, min(hi, end) - start))
+            if k + 1 < view.r:
+                run = min(hi, offs[k + 1]) - max(lo, end)
+                if run > 0:
+                    pieces.append(b"1" * run)
+        pending.extend(reversed(pieces))
+    return b"".join(parts)
+
+
+def _stage_word(views: list[StageView], m: int, built: dict[int, bytes]) -> bytes:
+    """w_m by the literal recursive concatenation, starting from the highest
+    stage word already built; the result joins ``built``."""
+    k = max(s for s in built if s <= m)
+    w = built[k]
+    for view in views[k:m]:
         parts = [w]
         for gap in view.spacers:
             parts.append(b"1" * gap)
             parts.append(w)
         w = b"".join(parts)
-    return RankOneWord(stage=n, letters=w)
+    built[m] = w
+    return w
+
+
+def build_word(spec: ParameterSpec, n: int, cap: int = DEFAULT_CAP) -> RankOneWord:
+    """Materialize w_n by the literal recursive concatenation."""
+    h = stage_table(spec).view(n).h
+    return RankOneWord(stage=n, letters=decode(spec, n, 0, h, cap=cap))
 
 
 def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
@@ -98,41 +148,27 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
     Descends the recursion: locate j among the r_{m-1} copies of w_{m-1} and
     the 1-runs between them, then recurse into the copy hit.
     """
-    if not spec.normalized:
-        raise SpecError("rank-one words are defined for normalized specs")
-    views = list(itertools.islice(stage_views(spec), n + 1))
+    views = _views(spec, n)
     if not 0 <= j < views[n].h:
         raise IndexError(f"index {j} out of range for |w_{n}| = {views[n].h}")
     path = []
-    m, pos = n, j
-    while m > 0:
+    pos = j
+    for m in range(n, 0, -1):
         view = views[m - 1]
-        block = view.h
-        found = None
-        cursor = 0
-        for k in range(view.r):
-            if pos < cursor + block:
-                found = (k, pos - cursor)
-                break
-            cursor += block
-            if k < view.r - 1:
-                gap = view.spacers[k]
-                if pos < cursor + gap:
-                    addr = WordAddress(
-                        stage=n, index=j, path=tuple(path),
-                        spacer=(m - 1, k, pos - cursor),
-                    )
-                    return 1, addr
-                cursor += gap
-        k, pos = found
+        k = bisect_right(view.offsets, pos) - 1
+        pos -= view.offsets[k]
+        if pos >= view.h:
+            addr = WordAddress(
+                stage=n, index=j, path=tuple(path), spacer=(m - 1, k, pos - view.h)
+            )
+            return 1, addr
         path.append((m - 1, k))
-        m -= 1
     return 0, WordAddress(stage=n, index=j, path=tuple(path), spacer=None)
 
 
 def letter(spec: ParameterSpec, n: int, j: int) -> int:
     """Just the letter w_n[j]; see letter_at for the address variant."""
-    return letter_at(spec, n, j)[0]
+    return decode(spec, n, j, j + 1)[0] - 0x30
 
 
 def occurrences(pattern: WordLike, text: WordLike) -> list[int]:
@@ -196,10 +232,10 @@ def expected_occurrences(spec: ParameterSpec, n: int, m: int) -> list[int]:
         raise SpecError("expected occurrences are defined for normalized specs")
     if not 0 <= n <= m:
         raise SpecError(f"need 0 <= n <= m, got n={n}, m={m}")
-    views = list(itertools.islice(stage_views(spec), m))
+    views = stage_table(spec).views(0, m)
     positions = [0]
     for k in range(m - 1, n - 1, -1):
-        offs = copy_offsets(views[k])
+        offs = views[k].offsets
         positions = [p + o for p in positions for o in offs]
     positions.sort()
     return positions
@@ -220,12 +256,12 @@ def gap_instances(spec: ParameterSpec, n: int, m: int) -> list[GapInstance]:
     tagged with the stage and tuple slot that produced them."""
     if not 0 <= n <= m:
         raise SpecError(f"need 0 <= n <= m, got n={n}, m={m}")
-    views = list(itertools.islice(stage_views(spec), m))
+    views = stage_table(spec).views(0, m)
     # build upward: gaps of w_n inside w_k for k = n .. m
     current: list[GapInstance] = []
     for k in range(n, m):
         view = views[k]
-        offs = copy_offsets(view)
+        offs = view.offsets
         merged: list[GapInstance] = []
         for idx, off in enumerate(offs):
             merged.extend(

@@ -3,23 +3,27 @@ brute-force oracles.
 
 The oracles deliberately avoid the library's scan/bookkeeping code paths:
 occurrence scans use per-index prefix comparison instead of find loops, gap
-reads walk the letters run by run, and the compatibility oracle rebuilds the
-padded tuple for every offset.
+reads walk the letters run by run, the compatibility oracle rebuilds the
+padded tuple for every offset, and names are walked one image at a time
+over stage words built here.
 """
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 from rankone.analysis import BAD, GOOD, INDETERMINATE, CandidatePair
+from rankone.errors import UndefinedOrbitError
 from rankone.params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
     heights,
     normalize,
+    stage_views,
 )
-from rankone.tower import NameWindow
+from rankone.tower import DEFAULT_STAGE_BUDGET, NameWindow
 from rankone.words import build_word
 
 
@@ -113,6 +117,97 @@ def oracle_builds(u: bytes, w: bytes):
     if w.startswith(u):
         go(len(u), [])
     return results
+
+
+def oracle_word(spec: ParameterSpec, n: int) -> bytes:
+    """w_n by the literal recursion w_{k+1} = w_k 1^{s_k(0)} w_k ... w_k,
+    read off the raw stage views."""
+    w = b"0"
+    for view in itertools.islice(stage_views(spec), n):
+        w = w + b"".join(b"1" * gap + w for gap in view.spacers)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# orbit oracle
+
+
+class _StepWalker:
+    """A point stepped one image at a time through the tower, the way the
+    orbit is defined: climb one level, and at a column edge refine into the
+    next stage first.  Stage data comes from its own copy of the stage
+    views, letters from its own stage words (by descent in the tall
+    columns that edge orbits reach)."""
+
+    WORD_LIMIT = 1 << 20
+
+    def __init__(self, spec, point, budget):
+        self.source = stage_views(spec)
+        self.views = [next(self.source) for _ in range(point.stage + 1)]
+        if not 0 <= point.level < self.views[point.stage].h:
+            raise ValueError(f"level {point.level} outside C_{point.stage}")
+        self.spec = spec
+        self.budget = budget
+        self.words: dict[int, bytes] = {}
+        self.stage, self.level, self.offset = point.stage, point.level, point.offset
+
+    def _refine(self):
+        view = self.views[self.stage]
+        k = int(self.offset * view.r)
+        self.level += k * view.h + sum(view.spacers[:k])
+        self.offset = self.offset * view.r - k
+        self.stage += 1
+        if self.stage == len(self.views):
+            self.views.append(next(self.source))
+
+    def step(self, up: bool):
+        for _ in range(self.budget):
+            if up and self.level + 1 < self.views[self.stage].h:
+                self.level += 1
+                return
+            if not up and self.level > 0:
+                self.level -= 1
+                return
+            self._refine()
+        raise UndefinedOrbitError(f"walk left no column within {self.budget} "
+                                  "refinements")
+
+    def read(self) -> int:
+        if self.views[self.stage].h > self.WORD_LIMIT:
+            return self._descend(self.stage, self.level)
+        if self.stage not in self.words:
+            self.words[self.stage] = oracle_word(self.spec, self.stage)
+        return self.words[self.stage][self.level] - 0x30
+
+    def _descend(self, m, j):
+        # letter j of w_m: find the copy of w_{m-1} or the 1-run holding it
+        while m > 0:
+            view = self.views[m - 1]
+            for k in range(view.r):
+                if j < view.h:
+                    break
+                j -= view.h
+                if j < view.spacers[k]:
+                    return 1
+                j -= view.spacers[k]
+            m -= 1
+        return 0
+
+
+def walk_name(spec, point, a, b, budget=DEFAULT_STAGE_BUDGET) -> bytes:
+    """The itinerary letters on [a, b): walk to T^a p one image at a time,
+    then read each letter and step once more."""
+    walker = _StepWalker(spec, point, budget)
+    for _ in range(-a if a < 0 else 0):
+        walker.step(up=False)
+    for _ in range(a if a > 0 else 0):
+        walker.step(up=True)
+    out = bytearray()
+    for i in range(a, b):
+        out.append(0x30 + walker.read())
+        if i + 1 < b:
+            walker.step(up=True)
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from rankone.params import (
     rule_at,
 )
 from rankone.registry import get_spec
-from rankone.tower import name_window, refine, sample_point, verify_injectivity
+from rankone.tower import name_window, sample_point, verify_injectivity
 from rankone.words import build_word, expected_occurrences, gap_instances, occurrences
 
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     random_growth_spec,
     random_normalized_spec,
     spliced_pair,
+    walk_name,
 )
 
 
@@ -123,35 +124,16 @@ def test_criterion_04_expectedness():
                         expected_occurrences(spec, n, m)
 
 
-def _embedded_decode(spec, point, a, b, word_cache):
-    from rankone.words import letter
-
-    q = point
-    for _ in range(90):
-        h = heights(spec, q.stage)[q.stage]
-        if q.level + a >= 0 and q.level + b <= h:
-            if h <= 1 << 22:
-                if q.stage not in word_cache:
-                    word_cache[q.stage] = build_word(spec, q.stage).letters
-                return word_cache[q.stage][q.level + a:q.level + b]
-            return bytes(
-                0x30 + letter(spec, q.stage, q.level + i) for i in range(a, b)
-            )
-        q = refine(spec, q)
-    raise AssertionError("embedding did not cover the window")
-
-
 def test_criterion_05_geometric_symbolic_agreement():
-    with criterion(5, 60.0, "walked names equal the decoded stage words"):
+    with criterion(5, 60.0, "decoded names equal the step-by-step walk"):
         for name in ("chacon", "hk"):
             spec = get_spec(name)
             h3 = heights(spec, 3)[3]
             rng = Random(105)
-            cache: dict = {}
             for _ in range(1000):
                 p = sample_point(spec, 3, rng)
-                walked = name_window(spec, p, -h3, h3)
-                assert walked.letters == _embedded_decode(spec, p, -h3, h3, cache)
+                decoded = name_window(spec, p, -h3, h3)
+                assert decoded.letters == walk_name(spec, p, -h3, h3)
 
 
 def test_criterion_06_injectivity_probe():

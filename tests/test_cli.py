@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from rankone.cli import main
 
@@ -203,3 +204,22 @@ def test_bad_config_reports_position(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--spec", str(config))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["name", "--spec", "chacon", "--point", "2:0:1/5", "--window", "3"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "corrupt:4"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "file:{missing}"], 2),
+    (["word", "--spec", "chacon", "--n", "-1", "--at", "0"], 2),
+    (["check", "--spec", "chacon", "--to", "-1"], 2),
+    (["word", "--spec", "chacon", "--n", "3", "--range", "5:2"], 2),
+    (["injectivity", "--spec", "finite-odometer"], 3),
+    (["word", "--spec", "chacon", "--n", "3", "--at", "122"], 2),
+])
+def test_bad_input_exit_codes(capsys, tmp_path, argv, code):
+    argv = [v.format(missing=tmp_path / "missing.txt") for v in argv]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ from rankone.errors import (
     SpecError,
 )
 from rankone.params import (
+    SPEC_CACHE_SIZE,
     ParameterSpec,
     SpacerExpr,
     StageRule,
@@ -21,10 +22,10 @@ from rankone.params import (
     heights,
     normalize,
     parse_spec,
-    registers_at,
     reversed_parameters,
     rule_at,
     serialize_spec,
+    stage_table,
     stage_views,
 )
 from rankone.registry import get_spec, names
@@ -218,9 +219,8 @@ def test_normalized_heights_track_raw_heights():
         raw = random_growth_spec(rng)
         norm = normalize(raw)
         for n in range(8):
-            h_raw, _ = registers_at(raw, n)
-            h_norm, acc = registers_at(norm, n)
-            assert h_raw == h_norm + acc
+            h_norm, acc = rule_at(norm, n).h, rule_at(norm, n).acc
+            assert rule_at(raw, n).h == h_norm + acc
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +317,20 @@ def test_numeric_mode_refutes_at_horizon():
     result = check_partially_bounded(spec, mode="numeric", up_to=6)
     assert result.status == "refuted"
     assert result.refutation.stage == 6
+
+
+def test_numeric_mode_rejects_negative_horizon():
+    with pytest.raises(SpecError):
+        check_partially_bounded(get_spec("chacon"), mode="numeric", up_to=-1)
+
+
+def test_spec_caches_are_bounded():
+    for k in range(SPEC_CACHE_SIZE + 5):
+        spec = parse_spec(f"cycle:[r=2, s=(h+{k})]")
+        certified(spec)
+        heights(spec, 3)
+    assert certified.cache_info().currsize == SPEC_CACHE_SIZE
+    assert stage_table.cache_info().currsize == SPEC_CACHE_SIZE
 
 
 def test_certified_raises_when_refuted():

@@ -22,7 +22,7 @@ from rankone.tower import (
 )
 from rankone.words import build_word, letter
 
-from helpers import random_certified_spec
+from helpers import random_certified_spec, walk_name
 
 F = Fraction
 
@@ -79,12 +79,21 @@ def test_forward_orbit_budget():
     with pytest.raises(UndefinedOrbitError):
         apply_T(chacon, p)
     assert apply_T(chacon, p, stage_budget=80).level > 0
+    with pytest.raises(UndefinedOrbitError):
+        name_window(chacon, p, 0, 5)
+    assert name_window(chacon, p, 0, 5, stage_budget=80).letters == \
+        walk_name(chacon, p, 0, 5, budget=80)
 
 
 def test_backward_orbit_budget():
     chacon = get_spec("chacon")
     with pytest.raises(UndefinedOrbitError):
         apply_T_inverse(chacon, TowerPoint(0, 0, F(0)))
+    # offset 0 keeps the point in the leftmost subcolumn: no window reaching
+    # back before it fits in any column
+    with pytest.raises(UndefinedOrbitError):
+        name_window(chacon, TowerPoint(0, 0, F(0)), -1, 5)
+    assert name_window(chacon, TowerPoint(0, 0, F(0)), 0, 5).letters == b"00101"
 
 
 def test_level_out_of_range():
@@ -180,32 +189,15 @@ def test_name_window_refine_invariant():
         assert w1.letters == w2.letters
 
 
-def _embedded_decode(spec, p, a, b):
-    """Oracle: lift the point into a deep enough column once, then read the
-    window straight out of that stage's word by index arithmetic."""
-    q = canonicalize(spec, p)
-    for _ in range(90):
-        h = heights(spec, q.stage)[q.stage]
-        if q.level + a >= 0 and q.level + b <= h:
-            if h <= 1 << 22:
-                word = build_word(spec, q.stage)
-                return bytes(0x30 + word[q.level + i] for i in range(a, b))
-            return bytes(
-                0x30 + letter(spec, q.stage, q.level + i) for i in range(a, b)
-            )
-        q = refine(spec, q)
-    raise AssertionError("embedding did not cover the window")
-
-
-def test_name_window_matches_embedded_decode():
+def test_name_window_matches_step_walker():
     rng = Random(33)
     for name in ("chacon", "hk"):
         spec = get_spec(name)
         h3 = heights(spec, 3)[3]
         for _ in range(60):
             p = sample_point(spec, 3, rng)
-            walked = name_window(spec, p, -h3, h3)
-            assert walked.letters == _embedded_decode(spec, p, -h3, h3)
+            decoded = name_window(spec, p, -h3, h3)
+            assert decoded.letters == walk_name(spec, p, -h3, h3)
 
 
 def test_name_window_on_certified_random_specs():
@@ -215,8 +207,17 @@ def test_name_window_on_certified_random_specs():
         h2 = heights(spec, 2)[2]
         for _ in range(10):
             p = sample_point(spec, 2, rng)
-            walked = name_window(spec, p, -h2, h2)
-            assert walked.letters == _embedded_decode(spec, p, -h2, h2)
+            decoded = name_window(spec, p, -h2, h2)
+            assert decoded.letters == walk_name(spec, p, -h2, h2)
+
+
+def test_name_window_near_the_right_edge():
+    # 2^-53 from the right edge the point stays on column tops for about 33
+    # refinements, within the budget
+    chacon = get_spec("chacon")
+    p = TowerPoint(1, 3, 1 - F(1, 2 ** 53))
+    for a, b in ((0, 50), (-40, 40), (-3, 1)):
+        assert name_window(chacon, p, a, b).letters == walk_name(chacon, p, a, b)
 
 
 # ---------------------------------------------------------------------------

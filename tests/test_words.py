@@ -10,13 +10,19 @@ from rankone.registry import get_spec
 from rankone.words import (
     build_word,
     builds,
+    decode,
     expected_occurrences,
     gap_instances,
     letter_at,
     occurrences,
 )
 
-from helpers import oracle_builds, oracle_occurrences, random_certified_spec
+from helpers import (
+    oracle_builds,
+    oracle_occurrences,
+    oracle_word,
+    random_certified_spec,
+)
 
 W2_CHACON = "001011110010111110010"
 
@@ -58,6 +64,34 @@ def test_word_length_equals_height():
 def test_build_word_cap():
     with pytest.raises(CapExceededError):
         build_word(get_spec("chacon"), 9, cap=1000)
+
+
+# ---------------------------------------------------------------------------
+# range decode
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_oracle_word(seed, n, data):
+    spec = random_certified_spec(Random(seed), max_r=4)
+    while n and heights(spec, n)[n] > 200_000:
+        n -= 1
+    word = oracle_word(spec, n)
+    a = data.draw(st.integers(0, len(word)))
+    b = data.draw(st.integers(a, len(word)))
+    assert decode(spec, n, a, b) == word[a:b]
+
+
+def test_decode_rejects_bad_ranges():
+    chacon = get_spec("chacon")
+    h3 = heights(chacon, 3)[3]
+    assert decode(chacon, 3, h3, h3) == b""
+    for n, a, b in ((3, 5, 2), (3, 0, h3 + 1), (3, -1, 4), (-1, 0, 0)):
+        with pytest.raises(SpecError):
+            decode(chacon, n, a, b)
+    assert len(decode(chacon, 12, 10 ** 6, 10 ** 6 + 1000, cap=1000)) == 1000
+    with pytest.raises(CapExceededError):
+        decode(chacon, 12, 10 ** 6, 10 ** 6 + 1001, cap=1000)
 
 
 def test_build_word_requires_normalized():
