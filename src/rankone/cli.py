@@ -78,10 +78,7 @@ def cmd_word(args) -> int:
     if not spec.normalized:
         spec = params.normalize(spec)
     if args.at is not None:
-        try:
-            letter, address = words.letter_at(spec, args.n, args.at)
-        except IndexError as exc:
-            raise RankOneError(str(exc)) from None
+        letter, address = words.letter_at(spec, args.n, args.at)
         payload = {
             "n": args.n, "at": args.at, "letter": letter,
             "spacer": address.spacer, "path": list(address.path),

@@ -265,14 +265,13 @@ def check_non_isomorphism(
     for _, ra, rb in aligned:
         ea = [_simplify(e, sa) for e in ra.spacers]
         eb = [_simplify(e, sb) for e in rb.spacers]
-        for x in ea:
-            for y in eb:
-                if (x.a, x.c) != (y.a, y.c):
-                    return NonIsoReport(
-                        False, status="not_established", commensurable=True,
-                        detail="cross spacer differences not symbolically bounded",
-                    )
-                diff_max = max(diff_max, abs(x.b - y.b))
+        if len({(e.a, e.c) for e in ea + eb}) > 1:
+            return NonIsoReport(
+                False, status="not_established", commensurable=True,
+                detail="cross spacer differences not symbolically bounded",
+            )
+        ba, bb = [e.b for e in ea], [e.b for e in eb]
+        diff_max = max(diff_max, max(ba) - min(bb), max(bb) - min(ba))
     cross_bound = diff_max + 1
 
     # condition (3) holds from the certificates' threshold on both sides.
@@ -292,12 +291,10 @@ def check_non_isomorphism(
 
     start = max(threshold, len(specA.preperiod), len(specB.preperiod))
     period = len(specA.cycle)
-    candidates = []
     limit = start + horizon_periods * period
     for n in range(start, limit):
-        if specA.cycle_position(n) in positions or not positions:
-            candidates.append(n)
-    for n in candidates:
+        if positions and specA.cycle_position(n) not in positions:
+            continue
         q, t = group_stages(specA, n, 3)
         q2, t2 = group_stages(specB, n, 3)
         if q != q2 or len(t) != len(t2):

@@ -21,6 +21,7 @@ from .errors import NormalizationError, NotCertifiedError, ParseError, SpecError
 
 SYMBOLIC_HORIZON = 64  # periods to iterate row certificates before giving up
 SPEC_CACHE_SIZE = 128  # specs whose stage table and certificate stay cached
+MAX_STAGE = 4096  # highest stage a table holds: its memory grows as stage^2
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,9 @@ def stage_views(spec: ParameterSpec) -> Iterator[StageView]:
 
 class StageTable:
     """The stage views of one spec, computed once each and kept in stage
-    order.  Every concrete stage read in the package goes through a table;
-    the lazy fill is locked so that a cached table stays shareable across
-    threads."""
+    order, up to MAX_STAGE.  Every concrete stage read in the package goes
+    through a table; the lazy fill is locked so that a cached table stays
+    shareable across threads."""
 
     def __init__(self, spec: ParameterSpec):
         self._views: list[StageView] = []
@@ -184,6 +185,8 @@ class StageTable:
         self._lock = threading.Lock()
 
     def _fill(self, stop: int) -> None:
+        if stop > MAX_STAGE + 1:
+            raise SpecError(f"stage {stop - 1} exceeds MAX_STAGE = {MAX_STAGE}")
         with self._lock:
             while len(self._views) < stop:
                 self._views.append(next(self._source))
@@ -322,18 +325,25 @@ def _period_matrix(spec: ParameterSpec, position: int) -> list[list[int]]:
     return m
 
 
-def _eventually_nonneg(row, period_matrix, horizon=SYMBOLIC_HORIZON):
-    """Smallest W <= horizon with row * M^W componentwise >= 0, else None.
+def _eventual_sign(row, period_matrix):
+    """("holds", W) for the smallest W <= SYMBOLIC_HORIZON with row * M^W
+    componentwise >= 0, ("fails", W) when the same holds for the refutation
+    row (-row, constant term -1), else ("unknown", None).
 
     Since the register vector is componentwise nonnegative at every stage,
-    such a W certifies row * v_n >= 0 for all stages n at this cycle position
-    that are at least W periods past the preperiod.
+    "holds" certifies row * v_n >= 0 and "fails" row * v_n <= -1 for all
+    stages n at this cycle position at least W periods past the preperiod;
+    both cannot hold, so at most one of the two rows ever qualifies.
     """
-    for w in range(horizon + 1):
+    refute = [-row[0], -row[1], -row[2] - 1]
+    for w in range(SYMBOLIC_HORIZON + 1):
         if all(x >= 0 for x in row):
-            return w
+            return "holds", w
+        if all(x >= 0 for x in refute):
+            return "fails", w
         row = _row_mul(row, period_matrix)
-    return None
+        refute = _row_mul(refute, period_matrix)
+    return "unknown", None
 
 
 def _static_accumulator(spec: ParameterSpec) -> Optional[int]:
@@ -465,15 +475,14 @@ def _check_pb_symbolic(spec):
     diff_max = 0
     for rule in spec.cycle:
         exprs = [_simplify(e, static_acc) for e in rule.spacers]
-        for i in range(len(exprs)):
-            for j in range(i + 1, len(exprs)):
-                if (exprs[i].a, exprs[i].c) != (exprs[j].a, exprs[j].c):
-                    return BoundednessResult(
-                        "unknown",
-                        detail="condition (2) undecided: spacer expressions with "
-                        "unequal coefficients; fall back to numeric mode",
-                    )
-                diff_max = max(diff_max, abs(exprs[i].b - exprs[j].b))
+        if len({(e.a, e.c) for e in exprs}) > 1:
+            return BoundednessResult(
+                "unknown",
+                detail="condition (2) undecided: spacer expressions with "
+                "unequal coefficients; fall back to numeric mode",
+            )
+        bs = [e.b for e in exprs]
+        diff_max = max(diff_max, max(bs) - min(bs))
 
     # condition (3) per cycle position and slot.
     worst_period = 0
@@ -500,14 +509,11 @@ def _check_pb_symbolic(spec):
                             ),
                         )
             else:
-                row = [raw.a - 1, raw.c, raw.b]
-                w = _eventually_nonneg(row, m)
-                if w is not None:
+                sign, w = _eventual_sign([raw.a - 1, raw.c, raw.b], m)
+                if sign == "holds":
                     worst_period = max(worst_period, w)
                     continue
-                refute_row = [1 - raw.a, -raw.c, -(raw.b + 1)]
-                w = _eventually_nonneg(refute_row, m)
-                if w is not None:
+                if sign == "fails":
                     stage = t0 + pos + w * period
                     view = rule_at(spec, stage)
                     return BoundednessResult(
@@ -590,16 +596,14 @@ def check_rewriting_criterion(spec: ParameterSpec) -> RewritingCriterionResult:
         h_row = _stage_matrix(rule)[0]
         last = rule.last
         row = [2 * last.a - h_row[0], 2 * last.c - h_row[1], 2 * last.b - h_row[2]]
-        w = _eventually_nonneg(row, m)
-        if w is None:
-            refute = [h_row[0] - 2 * last.a, h_row[1] - 2 * last.c,
-                      h_row[2] - 2 * last.b - 1]
-            if _eventually_nonneg(refute, m) is not None:
-                return RewritingCriterionResult(
-                    "fails",
-                    detail=f"last-column spacer of cycle rule {pos} stays below "
-                    "half the next height",
-                )
+        sign, w = _eventual_sign(row, m)
+        if sign == "fails":
+            return RewritingCriterionResult(
+                "fails",
+                detail=f"last-column spacer of cycle rule {pos} stays below "
+                "half the next height",
+            )
+        if sign == "unknown":
             return RewritingCriterionResult(
                 "unknown",
                 detail=f"last-column condition undecided for cycle rule {pos} "

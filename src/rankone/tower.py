@@ -83,23 +83,31 @@ def refine(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     return TowerPoint(p.stage + 1, new_level, p.offset * view.r - k)
 
 
+def _fit(
+    spec: ParameterSpec, p: TowerPoint, a: int, b: int, stage_budget: int,
+    what: str,
+) -> TowerPoint:
+    """The canonical point, refined until [level + a, level + b) lies inside
+    its column, where the images T^a p .. T^(b-1) p climb that column's
+    levels.  Raises UndefinedOrbitError, whose message calls the stretch
+    ``what``, when that takes more than stage_budget refinements."""
+    table = stage_table(spec)
+    q = canonicalize(spec, p)
+    for _ in range(stage_budget + 1):
+        if q.level + a >= 0 and q.level + b <= table.view(q.stage).h:
+            return q
+        q = refine(spec, q)
+    raise UndefinedOrbitError(f"{what} undefined within {stage_budget} refinements")
+
+
 def apply_T(
     spec: ParameterSpec, p: TowerPoint, stage_budget: int = DEFAULT_STAGE_BUDGET
 ) -> TowerPoint:
     """One step up the tower; refines past column tops.  Raises
     UndefinedOrbitError when the point sits on the forward orbit of the top
     edge (refinement never leaves the top level within the budget)."""
-    table = stage_table(spec)
-    p = canonicalize(spec, p)
-    for _ in range(stage_budget):
-        if p.level + 1 < table.view(p.stage).h:
-            return canonicalize(
-                spec, TowerPoint(p.stage, p.level + 1, p.offset)
-            )
-        p = refine(spec, p)
-    raise UndefinedOrbitError(
-        f"forward orbit undefined within {stage_budget} refinements"
-    )
+    q = _fit(spec, p, 1, 2, stage_budget, "forward orbit")
+    return canonicalize(spec, TowerPoint(q.stage, q.level + 1, q.offset))
 
 
 def apply_T_inverse(
@@ -107,16 +115,8 @@ def apply_T_inverse(
 ) -> TowerPoint:
     """Exact inverse of apply_T; the symmetric failure is the backward orbit
     of the base's bottom edge."""
-    p = canonicalize(spec, p)
-    for _ in range(stage_budget):
-        if p.level > 0:
-            return canonicalize(
-                spec, TowerPoint(p.stage, p.level - 1, p.offset)
-            )
-        p = refine(spec, p)
-    raise UndefinedOrbitError(
-        f"backward orbit undefined within {stage_budget} refinements"
-    )
+    q = _fit(spec, p, -1, 0, stage_budget, "backward orbit")
+    return canonicalize(spec, TowerPoint(q.stage, q.level - 1, q.offset))
 
 
 def in_base0(spec: ParameterSpec, p: TowerPoint) -> bool:
@@ -155,11 +155,6 @@ class NameWindow:
             raise IndexError(f"index {i} outside window [{self.anchor}, {self.end})")
         return self.letters[i - self.anchor] - 0x30
 
-    def slice(self, a: int, b: int) -> "NameWindow":
-        if not (self.anchor <= a <= b <= self.end):
-            raise IndexError(f"[{a}, {b}) not inside [{self.anchor}, {self.end})")
-        return NameWindow(a, self.letters[a - self.anchor:b - self.anchor])
-
     def to_text(self) -> str:
         return self.letters.decode("ascii")
 
@@ -181,17 +176,9 @@ def name_window(
         raise SpecError(f"need a <= b, got [{a}, {b})")
     if a == b:
         return NameWindow(a, b"", provenance=str(p))
-    table = stage_table(spec)
-    q = canonicalize(spec, p)
-    for _ in range(stage_budget + 1):
-        if q.level + a >= 0 and q.level + b <= table.view(q.stage).h:
-            letters = decode(spec, q.stage, q.level + a, q.level + b)
-            return NameWindow(a, letters, provenance=str(p))
-        q = refine(spec, q)
-    raise UndefinedOrbitError(
-        f"window [{a}, {b}) of the orbit undefined within {stage_budget} "
-        "refinements"
-    )
+    q = _fit(spec, p, a, b, stage_budget, f"window [{a}, {b}) of the orbit")
+    letters = decode(spec, q.stage, q.level + a, q.level + b)
+    return NameWindow(a, letters, provenance=str(p))
 
 
 def sample_point(

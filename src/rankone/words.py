@@ -150,7 +150,7 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
     """
     views = _views(spec, n)
     if not 0 <= j < views[n].h:
-        raise IndexError(f"index {j} out of range for |w_{n}| = {views[n].h}")
+        raise SpecError(f"index {j} out of range for |w_{n}| = {views[n].h}")
     path = []
     pos = j
     for m in range(n, 0, -1):

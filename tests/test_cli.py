@@ -217,6 +217,8 @@ def test_bad_config_reports_position(capsys, tmp_path):
     (["word", "--spec", "chacon", "--n", "3", "--range", "5:2"], 2),
     (["injectivity", "--spec", "finite-odometer"], 3),
     (["word", "--spec", "chacon", "--n", "3", "--at", "122"], 2),
+    (["word", "--spec", "chacon", "--n", "5000", "--at", "0"], 2),
+    (["name", "--spec", "chacon", "--point", "5000:0:1/2", "--window", "0:5"], 2),
 ])
 def test_bad_input_exit_codes(capsys, tmp_path, argv, code):
     argv = [v.format(missing=tmp_path / "missing.txt") for v in argv]

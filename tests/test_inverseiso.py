@@ -18,6 +18,7 @@ from rankone.params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    normalize,
     parse_spec,
     reversed_parameters,
     rule_at,
@@ -171,9 +172,23 @@ def test_chacon_is_not_inverse_isomorphic():
 
 
 def test_constant_palindromic_cycle_true():
-    spec = parse_spec("cycle:[r=3, s=(2h, 2h)]")
+    # the second spec's accumulator is the constant 4 after normalizing
+    for spec in (parse_spec("cycle:[r=3, s=(2h, 2h)]"), normalize(parse_spec(
+        "preperiod: [r=2, s=(0), last=4]; cycle: [r=3, s=(1h, 1h)]"
+    ))):
+        verdict = decide_inverse_isomorphic(spec)
+        assert verdict.isomorphic_to_inverse and verdict.N == 0
+
+
+def test_static_accumulator_verdicts():
+    spec = normalize(parse_spec(
+        "preperiod: [r=3, s=(0, 1), last=5]; cycle: [r=3, s=(1h, 1h+1)]"
+    ))
     verdict = decide_inverse_isomorphic(spec)
-    assert verdict.isomorphic_to_inverse and verdict.N == 0
+    assert not verdict.isomorphic_to_inverse
+    assert verdict.refuting_positions == (0,)
+    report = check_non_isomorphism(spec, reversed_parameters(spec))
+    assert report.criteria_met and report.status == "criteria_met"
 
 
 def test_random_palindromic_specs_true():

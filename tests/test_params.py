@@ -312,6 +312,19 @@ def test_numeric_mode_matches_symbolic():
         assert num.certificate.verified_mode == "numeric-up-to(12)"
 
 
+def test_static_accumulator_folds_into_constants():
+    # the last-column spacer sits only in the preperiod, so after normalizing
+    # A stays 5 and the cycle's A terms are constants
+    spec = normalize(parse_spec(
+        "preperiod: [r=3, s=(0, 1), last=5]; cycle: [r=3, s=(1h, 1h+1)]"
+    ))
+    assert rule_at(spec, 1).acc == rule_at(spec, 30).acc == 5
+    sym = check_partially_bounded(spec).certificate
+    num = check_partially_bounded(spec, mode="numeric", up_to=30).certificate
+    assert (sym.R_frak, sym.S_frak, sym.N) == (num.R_frak, num.S_frak, num.N) \
+        == (4, 2, 1)
+
+
 def test_numeric_mode_refutes_at_horizon():
     spec = parse_spec("cycle:[r=2, s=(0)]")
     result = check_partially_bounded(spec, mode="numeric", up_to=6)

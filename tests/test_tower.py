@@ -71,29 +71,56 @@ def test_round_trip_identity():
             assert apply_T_inverse(spec, q) == p
 
 
-def test_forward_orbit_budget():
-    chacon = get_spec("chacon")
-    # a point crowding the right edge of the top level keeps landing on
-    # column tops when refined
-    p = TowerPoint(1, 3, 1 - F(1, 3 ** 70))
+@pytest.mark.parametrize("name", ["chacon", "hk"])
+def test_forward_orbit_budget(name):
+    spec = get_spec(name)
+    r = spec.cycle[0].r
+    # offset 1 - r^-k keeps the base point in the rightmost subcolumn, on a
+    # column top, for k refinements; stepping up takes one more
+    p = TowerPoint(0, 0, 1 - F(1, r ** 63))
+    assert in_base0(spec, apply_T(spec, p)) == \
+        (name_window(spec, p, 0, 2).letter(1) == 0)
+    edge = TowerPoint(0, 0, 1 - F(1, r ** 64))
+    with pytest.raises(UndefinedOrbitError,
+                       match="^forward orbit undefined within 64 refinements$"):
+        apply_T(spec, edge)
+    with pytest.raises(UndefinedOrbitError, match=r"^window \[0, 2\) of the orbit "
+                       "undefined within 64 refinements$"):
+        name_window(spec, edge, 0, 2)
+    far = TowerPoint(0, 0, 1 - F(1, r ** 70))
     with pytest.raises(UndefinedOrbitError):
-        apply_T(chacon, p)
-    assert apply_T(chacon, p, stage_budget=80).level > 0
+        apply_T(spec, far)
+    assert apply_T(spec, far, stage_budget=80).level > 0
     with pytest.raises(UndefinedOrbitError):
-        name_window(chacon, p, 0, 5)
-    assert name_window(chacon, p, 0, 5, stage_budget=80).letters == \
-        walk_name(chacon, p, 0, 5, budget=80)
+        name_window(spec, far, 0, 5)
+    assert name_window(spec, far, 0, 5, stage_budget=80).letters == \
+        walk_name(spec, far, 0, 5, budget=80)
 
 
-def test_backward_orbit_budget():
-    chacon = get_spec("chacon")
+@pytest.mark.parametrize("name", ["chacon", "hk"])
+def test_backward_orbit_budget(name):
+    spec = get_spec(name)
+    r = spec.cycle[0].r
+    # offset r^-k keeps the base point in the leftmost subcolumn, on level 0,
+    # for k - 1 refinements; the k-th moves it up
+    q = TowerPoint(0, 0, F(1, r ** 64))
+    assert in_base0(spec, apply_T_inverse(spec, q)) == \
+        (name_window(spec, q, -1, 1).letter(-1) == 0)
+    edge = TowerPoint(0, 0, F(1, r ** 65))
+    with pytest.raises(UndefinedOrbitError,
+                       match="^backward orbit undefined within 64 refinements$"):
+        apply_T_inverse(spec, edge)
+    with pytest.raises(UndefinedOrbitError, match=r"^window \[-1, 1\) of the orbit "
+                       "undefined within 64 refinements$"):
+        name_window(spec, edge, -1, 1)
     with pytest.raises(UndefinedOrbitError):
-        apply_T_inverse(chacon, TowerPoint(0, 0, F(0)))
+        apply_T_inverse(spec, TowerPoint(0, 0, F(0)))
     # offset 0 keeps the point in the leftmost subcolumn: no window reaching
     # back before it fits in any column
     with pytest.raises(UndefinedOrbitError):
-        name_window(chacon, TowerPoint(0, 0, F(0)), -1, 5)
-    assert name_window(chacon, TowerPoint(0, 0, F(0)), 0, 5).letters == b"00101"
+        name_window(spec, TowerPoint(0, 0, F(0)), -1, 5)
+    assert name_window(spec, TowerPoint(0, 0, F(0)), 0, 5).letters == \
+        build_word(spec, 3).letters[:5]
 
 
 def test_level_out_of_range():

@@ -130,7 +130,7 @@ def test_letter_at_deep_stage():
 
 
 def test_letter_at_out_of_range():
-    with pytest.raises(IndexError):
+    with pytest.raises(SpecError):
         letter_at(get_spec("chacon"), 1, 4)
 
 
