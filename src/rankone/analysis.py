@@ -419,6 +419,8 @@ def corrupt_gap_pair(
     gaps = gap_instances(spec, n, m)
     if not 0 <= gap_ordinal < len(gaps):
         raise SpecError(f"gap ordinal {gap_ordinal} out of range ({len(gaps)} gaps)")
+    if new_length < 0:
+        raise SpecError(f"gap length must be >= 0, got {new_length}")
     g = gaps[gap_ordinal]
     corrupted = (
         word[:g.position] + b"1" * new_length + word[g.position + g.length:]

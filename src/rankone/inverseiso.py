@@ -18,11 +18,9 @@ from .params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
-    _simplify,
-    _static_accumulator,
     certified,
+    eventual_cycle,
     reversed_parameters,
-    rule_at,
     stage_table,
 )
 from .tower import NameWindow
@@ -111,11 +109,6 @@ def group_stages(
 # inverse isomorphism decision
 
 
-def _rule_palindromic(rule: StageRule, static_acc: Optional[int]) -> bool:
-    exprs = [_simplify(e, static_acc) for e in rule.spacers]
-    return exprs == exprs[::-1]
-
-
 @dataclass(frozen=True)
 class InverseVerdict:
     isomorphic_to_inverse: bool
@@ -129,17 +122,16 @@ class InverseVerdict:
 
 def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
     """Eventual palindromicity of the spacer tuples, decided symbolically
-    over the cycle rules: a rule is palindromic when its affine expressions
-    match their reversal coefficientwise.  The reversal criterion
+    over the eventual cycle rules: a rule is palindromic when its affine
+    expressions match their reversal coefficientwise.  The reversal criterion
     presupposes a certified partially bounded presentation, so anything
     else is refused."""
     if not spec.normalized:
         raise SpecError("decide on the normalized presentation")
     certified(spec)  # raises NotCertifiedError when the hypothesis fails
-    static_acc = _static_accumulator(spec)
     refuting = tuple(
-        pos for pos, rule in enumerate(spec.cycle)
-        if not _rule_palindromic(rule, static_acc)
+        pos for pos, rule in enumerate(eventual_cycle(spec))
+        if rule.spacers != rule.spacers[::-1]
     )
     if refuting:
         return InverseVerdict(
@@ -181,12 +173,6 @@ class NonIsoReport:
         return self.criteria_met
 
 
-def _alignment_horizon(a: ParameterSpec, b: ParameterSpec) -> int:
-    return max(len(a.preperiod), len(b.preperiod)) + lcm(
-        len(a.cycle), len(b.cycle)
-    )
-
-
 def _sum_expr(rule: StageRule) -> SpacerExpr:
     return SpacerExpr(
         sum(e.a for e in rule.spacers),
@@ -195,17 +181,8 @@ def _sum_expr(rule: StageRule) -> SpacerExpr:
     )
 
 
-def _aligned_rules(a, b):
-    horizon = _alignment_horizon(a, b)
-    return [(n, a.rule_schedule(n), b.rule_schedule(n)) for n in range(horizon)]
-
-
-def _acc_aligned(a, b, aligned) -> bool:
-    sa, sb = _static_accumulator(a), _static_accumulator(b)
-    return all(
-        _simplify(ra.effective_acc, sa) == _simplify(rb.effective_acc, sb)
-        for _, ra, rb in aligned
-    )
+def _cross_spread(s, t) -> int:
+    return max(max(s) - min(t), max(t) - min(s))
 
 
 def check_non_isomorphism(
@@ -217,12 +194,17 @@ def check_non_isomorphism(
     spacers at least the word length on both sides, and a bounded grouping
     of consecutive stages with infinitely many incompatible grouped tuples.
 
-    The grouping search follows the reversal strategy: triples of
-    consecutive stages anchored at non-palindromic cycle positions.  The
-    infinitude claim is established symbolically only when the second spec
-    is the coefficientwise reversal of the first; otherwise a negative
-    result means "criteria not established", never an isomorphism claim.
+    The stages before both cycles have started are compared on their
+    concrete values, every later stage through one common period of the
+    eventual cycle rules.  The grouping search follows the reversal
+    strategy: triples of consecutive stages anchored at non-palindromic
+    cycle positions.  The infinitude claim is established symbolically only
+    when the second spec is the coefficientwise reversal of the first;
+    otherwise a negative result means "criteria not established", never an
+    isomorphism claim.
     """
+    if horizon_periods < 1:
+        raise SpecError(f"horizon_periods must be >= 1, got {horizon_periods}")
     if not (specA.normalized and specB.normalized):
         raise SpecError("both specs must be normalized")
     try:
@@ -233,63 +215,62 @@ def check_non_isomorphism(
             detail=f"partial boundedness hypothesis unavailable: {exc}",
         )
     threshold = max(certA.N, certB.N)
-    aligned = _aligned_rules(specA, specB)
-    sa, sb = _static_accumulator(specA), _static_accumulator(specB)
+    pre = max(len(specA.preperiod), len(specB.preperiod))
+    tableA, tableB = stage_table(specA), stage_table(specB)
+    early = list(zip(tableA.views(0, pre), tableB.views(0, pre)))
+    cycleA, cycleB = eventual_cycle(specA), eventual_cycle(specB)
+    aligned = [
+        (cycleA[specA.cycle_position(n)], cycleB[specB.cycle_position(n)])
+        for n in range(pre, pre + lcm(len(cycleA), len(cycleB)))
+    ]
+    acc_aligned = tableA.view(pre).acc == tableB.view(pre).acc and all(
+        ra.effective_acc == rb.effective_acc for ra, rb in aligned
+    )
 
     # condition (1): equal cuts and equal spacer sums at every stage
-    c_used = any(
-        e.c for _, ra, rb in aligned for e in ra.spacers + rb.spacers
-    )
-    symbolic_ok = all(ra.r == rb.r for _, ra, rb in aligned) and all(
-        _simplify(_sum_expr(ra), sa) == _simplify(_sum_expr(rb), sb)
-        for _, ra, rb in aligned
-    ) and (not c_used or _acc_aligned(specA, specB, aligned))
+    c_used = any(e.c for ra, rb in aligned for e in ra.spacers + rb.spacers)
+    symbolic_ok = all(
+        ra.r == rb.r and _sum_expr(ra) == _sum_expr(rb) for ra, rb in aligned
+    ) and (not c_used or acc_aligned)
+    stop = pre if symbolic_ok else pre + 5 * len(aligned)
+    for va, vb in zip(tableA.views(0, stop), tableB.views(0, stop)):
+        if va.r != vb.r or sum(va.spacers) != sum(vb.spacers):
+            return NonIsoReport(
+                False, status="condition1_fails", commensurable=False,
+                detail=f"stage {va.n}: cuts or spacer sums differ",
+            )
     if not symbolic_ok:
-        numeric_horizon = _alignment_horizon(specA, specB) + 4 * len(aligned)
-        for va, vb in zip(
-            stage_table(specA).views(0, numeric_horizon),
-            stage_table(specB).views(0, numeric_horizon),
-        ):
-            if va.r != vb.r or sum(va.spacers) != sum(vb.spacers):
-                return NonIsoReport(
-                    False, status="condition1_fails", commensurable=False,
-                    detail=f"stage {va.n}: cuts or spacer sums differ",
-                )
         return NonIsoReport(
             False, status="not_established", commensurable=None,
             detail="commensurability not symbolically decidable for these rules",
         )
 
     # condition (2): |s_n(i) - s'_n(j)| bounded, from the threshold stage on
-    diff_max = 0
-    for _, ra, rb in aligned:
-        ea = [_simplify(e, sa) for e in ra.spacers]
-        eb = [_simplify(e, sb) for e in rb.spacers]
-        if len({(e.a, e.c) for e in ea + eb}) > 1:
-            return NonIsoReport(
-                False, status="not_established", commensurable=True,
-                detail="cross spacer differences not symbolically bounded",
-            )
-        ba, bb = [e.b for e in ea], [e.b for e in eb]
-        diff_max = max(diff_max, max(ba) - min(bb), max(bb) - min(ba))
-    cross_bound = diff_max + 1
+    if any(len({(e.a, e.c) for e in ra.spacers + rb.spacers}) > 1
+           for ra, rb in aligned):
+        return NonIsoReport(
+            False, status="not_established", commensurable=True,
+            detail="cross spacer differences not symbolically bounded",
+        )
+    cross_bound = 1 + max(
+        [_cross_spread(va.spacers, vb.spacers) for va, vb in early]
+        + [_cross_spread([e.b for e in ra.spacers], [e.b for e in rb.spacers])
+           for ra, rb in aligned]
+    )
 
     # condition (3) holds from the certificates' threshold on both sides.
 
     # condition (4): grouped-tuple incompatibility, anchored at
     # non-palindromic positions of the first spec
     positions = tuple(
-        pos for pos, rule in enumerate(specA.cycle)
-        if not _rule_palindromic(rule, sa)
+        pos for pos, rule in enumerate(cycleA)
+        if rule.spacers != rule.spacers[::-1]
     )
-    is_reversal_twin = all(
-        ra.r == rb.r
-        and [_simplify(e, sa) for e in ra.spacers]
-        == [_simplify(e, sb) for e in reversed(rb.spacers)]
-        for _, ra, rb in aligned
-    ) and _acc_aligned(specA, specB, aligned)
+    is_reversal_twin = acc_aligned and all(
+        va.spacers == vb.spacers[::-1] for va, vb in early
+    ) and all(ra.spacers == rb.spacers[::-1] for ra, rb in aligned)
 
-    start = max(threshold, len(specA.preperiod), len(specB.preperiod))
+    start = max(threshold, pre)
     period = len(specA.cycle)
     limit = start + horizon_periods * period
     for n in range(start, limit):
@@ -308,8 +289,8 @@ def check_non_isomorphism(
             note="t' is the reversal of t" if t2 == reverse(t) else "",
         )
         if is_reversal_twin and positions:
-            view = rule_at(specA, n)
-            hypothesis = view.spacers != tuple(reversed(view.spacers))
+            view = tableA.view(n)
+            hypothesis = view.spacers != view.spacers[::-1]
             if hypothesis and t2 == reverse(t):
                 return NonIsoReport(
                     True, status="criteria_met", commensurable=True,

@@ -346,21 +346,26 @@ def _eventual_sign(row, period_matrix):
     return "unknown", None
 
 
-def _static_accumulator(spec: ParameterSpec) -> Optional[int]:
-    """A_n's eventual constant value when the cycle never increments it."""
-    t0 = len(spec.preperiod)
-    acc0 = rule_at(spec, t0).acc
-    for rule in spec.cycle:
-        inc = rule.effective_acc
-        if inc.a != 0 or inc.b != 0 or (inc.c != 0 and acc0 != 0):
-            return None
-    return acc0
+def eventual_cycle(spec: ParameterSpec) -> tuple[StageRule, ...]:
+    """The cycle rules as they act once the preperiod has ended.  When no
+    cycle rule changes A_n, A_n keeps its value at the end of the preperiod
+    forever, and that value is substituted into every spacer and increment
+    expression, so the rules read in h alone.  Otherwise the cycle is
+    returned unchanged.  Either way each rule gives the same concrete stage
+    as spec.cycle at every stage past the preperiod."""
+    acc = rule_at(spec, len(spec.preperiod)).acc
+    increments = [rule.effective_acc for rule in spec.cycle]
+    if any(e.a or e.b or (e.c and acc) for e in increments):
+        return spec.cycle
 
+    def fold(e):
+        return None if e is None else SpacerExpr(e.a, 0, e.b + e.c * acc)
 
-def _simplify(e: SpacerExpr, static_acc: Optional[int]) -> SpacerExpr:
-    if static_acc is None or e.c == 0:
-        return e
-    return SpacerExpr(e.a, 0, e.b + e.c * static_acc)
+    return tuple(
+        StageRule(rule.r, tuple(fold(e) for e in rule.spacers), fold(rule.last),
+                  fold(rule.effective_acc))
+        for rule in spec.cycle
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +406,18 @@ class BoundednessResult:
 
 def _scan_smallest_n(spec, t_sym, cycle_r_max, cycle_diff_max):
     """Find the smallest N <= t_sym such that the concrete stages in
-    [N, t_sym) satisfy condition (3); collect R/S contributions there."""
+    [N, t_sym) satisfy condition (3); R and S bound the r's and spacer
+    spreads there and the cycle's contributions passed in (zero when every
+    stage is scanned)."""
     views = stage_table(spec).views(0, t_sym)
     n_min = t_sym
     for v in reversed(views):
-        if any(s < v.h for s in v.spacers):
+        if min(v.spacers) < v.h:
             break
         n_min = v.n
-    r_max = cycle_r_max
-    diff_max = cycle_diff_max
-    for v in views[n_min:]:
-        r_max = max(r_max, v.r)
-        diff_max = max(diff_max, max(v.spacers) - min(v.spacers))
+    kept = views[n_min:]
+    r_max = max([cycle_r_max] + [v.r for v in kept])
+    diff_max = max([cycle_diff_max] + [max(v.spacers) - min(v.spacers) for v in kept])
     return n_min, r_max + 1, diff_max + 1
 
 
@@ -439,27 +444,19 @@ def check_partially_bounded(
 
 
 def _check_pb_numeric(spec, up_to):
-    views = stage_table(spec).views(0, up_to + 1)
-    bad_stage = -1
-    witness = None
-    for v in views:
-        for i, s in enumerate(v.spacers):
-            if s < v.h:
-                bad_stage = v.n
-                witness = BoundednessRefutation(
-                    3, v.n, i=i, detail=f"s_{v.n}({i})={s} < h_{v.n}={v.h}"
-                )
-    if bad_stage == up_to:
+    n0, R, S = _scan_smallest_n(spec, up_to + 1, 0, 0)
+    if n0 > up_to:
+        v = rule_at(spec, up_to)
+        i = max(i for i, s in enumerate(v.spacers) if s < v.h)
+        witness = BoundednessRefutation(
+            3, v.n, i=i, detail=f"s_{v.n}({i})={v.spacers[i]} < h_{v.n}={v.h}"
+        )
         return BoundednessResult(
             "refuted", refutation=witness,
             detail=f"condition (3) fails at the last checked stage {up_to}",
         )
-    n0 = bad_stage + 1
-    r_max = max(v.r for v in views[n0:])
-    diff_max = max(max(v.spacers) - min(v.spacers) for v in views[n0:])
     cert = PartialBoundednessCertificate(
-        R_frak=r_max + 1, S_frak=diff_max + 1, N=n0,
-        verified_mode=f"numeric-up-to({up_to})",
+        R_frak=R, S_frak=S, N=n0, verified_mode=f"numeric-up-to({up_to})",
     )
     return BoundednessResult("certified", certificate=cert)
 
@@ -467,30 +464,28 @@ def _check_pb_numeric(spec, up_to):
 def _check_pb_symbolic(spec):
     t0 = len(spec.preperiod)
     period = len(spec.cycle)
-    static_acc = _static_accumulator(spec)
+    cycle = eventual_cycle(spec)
 
     # condition (2): within each cycle rule the spacer expressions must agree
     # on the h and A coefficients, otherwise the difference grows (or is
     # beyond this analyzer; either way numeric verification is the fallback).
     diff_max = 0
-    for rule in spec.cycle:
-        exprs = [_simplify(e, static_acc) for e in rule.spacers]
-        if len({(e.a, e.c) for e in exprs}) > 1:
+    for rule in cycle:
+        if len({(e.a, e.c) for e in rule.spacers}) > 1:
             return BoundednessResult(
                 "unknown",
                 detail="condition (2) undecided: spacer expressions with "
                 "unequal coefficients; fall back to numeric mode",
             )
-        bs = [e.b for e in exprs]
+        bs = [e.b for e in rule.spacers]
         diff_max = max(diff_max, max(bs) - min(bs))
 
-    # condition (3) per cycle position and slot.
+    # condition (3) per cycle position and slot; the refutation rows stay on
+    # the raw rules, which act on the raw (h, A, 1) vector.
     worst_period = 0
-    for pos in range(period):
-        rule = spec.cycle[pos]
+    for pos, rule in enumerate(cycle):
         m = _period_matrix(spec, pos)
-        for i, raw in enumerate(rule.spacers):
-            e = _simplify(raw, static_acc)
+        for i, (e, raw) in enumerate(zip(rule.spacers, spec.cycle[pos].spacers)):
             if e.a >= 1:
                 continue
             if e.a == 0 and e.c == 0:
@@ -574,14 +569,12 @@ def check_rewriting_criterion(spec: ParameterSpec) -> RewritingCriterionResult:
     rules = spec.preperiod + spec.cycle
     if any(r.last is None for r in rules):
         raise SpecError("this check needs explicit last-column spacers")
-    static_acc = _static_accumulator(spec)
     t0 = len(spec.preperiod)
     period = len(spec.cycle)
 
     s_max = 0
-    for pos, rule in enumerate(spec.cycle):
-        for i, raw in enumerate(rule.spacers):
-            e = _simplify(raw, static_acc)
+    for pos, rule in enumerate(eventual_cycle(spec)):
+        for i, e in enumerate(rule.spacers):
             if e.a >= 1 or e.c >= 1:
                 return RewritingCriterionResult(
                     "fails",

@@ -16,9 +16,9 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from .errors import SpecError, UndefinedOrbitError
+from .errors import CapExceededError, SpecError, UndefinedOrbitError
 from .params import ParameterSpec, StageTable, stage_table
-from .words import decode
+from .words import DEFAULT_CAP, decode
 
 DEFAULT_STAGE_BUDGET = 64
 OFFSET_DENOMINATOR_BITS = 53
@@ -181,14 +181,12 @@ def name_window(
     return NameWindow(a, letters, provenance=str(p))
 
 
-def sample_point(
-    spec: ParameterSpec, m: int, rng: Random,
-    denominator_bits: int = OFFSET_DENOMINATOR_BITS,
-) -> TowerPoint:
+def sample_point(spec: ParameterSpec, m: int, rng: Random) -> TowerPoint:
     """A random canonical point in column C_m: uniform level, dyadic offset.
     Dyadic offsets avoid the measure-zero edge orbits almost surely."""
     level = rng.randrange(stage_table(spec).view(m).h)
-    offset = Fraction(rng.randrange(1 << denominator_bits), 1 << denominator_bits)
+    denominator = 1 << OFFSET_DENOMINATOR_BITS
+    offset = Fraction(rng.randrange(denominator), denominator)
     return canonicalize(spec, TowerPoint(m, level, offset))
 
 
@@ -230,9 +228,17 @@ def verify_injectivity(
     """Sample pairs of points in distinct levels of C_m and check their name
     windows differ.  Any non-separated pair is a bug (the names of points in
     distinct levels must split once the lower one exits the column top into
-    spacers), so the failure list should always be empty."""
+    spacers), so the failure list should always be empty.  The window, by
+    default 4*h_{m+1} letters, must fit the decode cap."""
+    if trials < 0:
+        raise SpecError(f"trials must be >= 0, got {trials}")
     if window is None:
         window = 4 * stage_table(spec).view(m + 1).h
+    if window > DEFAULT_CAP:
+        raise CapExceededError(
+            f"the name window for m={m} has {window} letters, more than the "
+            f"decode cap {DEFAULT_CAP}; use a smaller m"
+        )
     half = window // 2
     rng = Random(seed)
     separated = 0

@@ -108,6 +108,11 @@ def test_enlarged_gap_breaks_the_following_occurrence():
     assert before and all(r.verdict == GOOD for r in before)
 
 
+def test_corrupt_gap_pair_rejects_negative_length():
+    with pytest.raises(SpecError):
+        corrupt_gap_pair(get_spec("chacon"), 2, 4, 4, -3)
+
+
 def test_classify_matches_oracle_on_corruptions():
     rng = Random(41)
     chacon = get_spec("chacon")

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone.cli import main
+from rankone.registry import names
 
 W2_CHACON = "001011110010111110010"
 
@@ -174,6 +180,19 @@ def test_inverse_against_self_inconclusive(capsys):
     assert code == 3
 
 
+def test_inverse_uneven_preperiods_exit_negative(capsys, tmp_path):
+    spec_a = tmp_path / "a.cfg"
+    spec_a.write_text("preperiod: [r=3, s=(1A, 2), acc=1]\n"
+                      "cycle: [r=3, s=(1h, 1h+1)]\n")
+    spec_b = tmp_path / "b.cfg"
+    spec_b.write_text("preperiod: [r=3, s=(2, 1), acc=1]\n"
+                      "cycle: [r=3, s=(1h+1, 1h)]\n")
+    code, out, _ = run(capsys, "inverse", "--spec", str(spec_a),
+                       "--against", str(spec_b))
+    assert code == 1
+    assert "status=condition1_fails" in out
+
+
 def test_normalize_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "normalize", "--spec", "chacon-raw")
     assert code == 0
@@ -181,6 +200,18 @@ def test_normalize_round_trip(capsys, tmp_path):
     config.write_text(out)
     code2, out2, _ = run(capsys, "word", "--spec", str(config), "--n", "2")
     assert code2 == 0 and out2.strip() == W2_CHACON
+
+
+def test_injectivity_zero_trials(capsys):
+    code, out, _ = run(capsys, "injectivity", "--spec", "chacon", "--trials", "0")
+    assert code == 0 and out.strip() == "trials=0 separated=0 failures=0"
+
+
+def test_injectivity_window_past_the_cap_names_m(capsys):
+    code, _, err = run(capsys, "injectivity", "--spec", "chacon", "--m", "9",
+                       "--trials", "1")
+    assert code == 2
+    assert "m=9" in err and "135444244 letters" in err
 
 
 def test_injectivity_seeded_reproducible(capsys):
@@ -219,9 +250,82 @@ def test_bad_config_reports_position(capsys, tmp_path):
     (["word", "--spec", "chacon", "--n", "3", "--at", "122"], 2),
     (["word", "--spec", "chacon", "--n", "5000", "--at", "0"], 2),
     (["name", "--spec", "chacon", "--point", "5000:0:1/2", "--window", "0:5"], 2),
+    (["injectivity", "--spec", "chacon", "--trials", "-5"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "corrupt:4:-3"], 2),
+    (["inverse", "--spec", "chacon", "--against", "chacon-reversed",
+      "--horizon", "0"], 2),
+    (["inverse", "--spec", "chacon", "--against", "chacon-reversed",
+      "--horizon", "-1"], 2),
 ])
 def test_bad_input_exit_codes(capsys, tmp_path, argv, code):
     argv = [v.format(missing=tmp_path / "missing.txt") for v in argv]
     got, _, err = run(capsys, *argv)
     assert got == code
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argv ends in an exit code, never in an escaped exception
+
+SPECS = st.sampled_from(names() + ["nope"])
+STAGES = st.integers(-2, 12)
+SMALL = st.integers(-3, 20)
+MISSING = str(Path(__file__).parent / "no-such-image.txt")
+
+
+def _pair(ints):
+    return st.tuples(ints, ints).map(lambda t: f"{t[0]}:{t[1]}")
+
+
+POINTS = st.tuples(STAGES, SMALL, st.integers(-1, 4), st.integers(-1, 4)).map(
+    lambda t: f"{t[0]}:{t[1]}:{t[2]}/{t[3]}"
+)
+IMAGES = st.one_of(
+    SMALL.map(lambda v: f"shift:{v}"),
+    _pair(SMALL).map(lambda v: f"corrupt:{v}"),
+    st.just(f"file:{MISSING}"),
+    st.sampled_from(["corrupt:1", "shift:", "bogus:1"]),
+)
+
+
+def _command(name, required=None, **optional):
+    """``name --spec S`` with every required option and each optional one
+    present or absent; values go in ``--flag=value`` form, so that negative
+    ones are not read as flags."""
+    def flag(key, value):
+        return value.map(lambda v: [f"--{key}={v}"])
+
+    parts = [flag("spec", SPECS)]
+    parts += [flag(k, v) for k, v in (required or {}).items()]
+    parts += [st.one_of(st.just([]), flag(k, v)) for k, v in optional.items()]
+    return st.tuples(*parts).map(lambda ps: [name] + [x for p in ps for x in p])
+
+
+ARGVS = st.tuples(
+    st.sampled_from([[], ["--format", "json"]]),
+    st.one_of(
+        _command("word", {"n": STAGES}, at=SMALL, range=_pair(SMALL)),
+        _command("check", to=STAGES),
+        _command("orbit", {"point": POINTS, "steps": st.integers(-20, 20)}),
+        _command("name", {"point": POINTS, "window": _pair(SMALL)}),
+        _command("analyze", {"n": STAGES, "m": STAGES, "y": IMAGES},
+                 kappa=STAGES, totally=STAGES),
+        _command("inverse", against=SPECS, horizon=STAGES),
+        _command("normalize"),
+        _command("injectivity", trials=st.integers(-3, 5), m=STAGES),
+    ),
+).map(lambda t: t[0] + t[1])
+
+
+@given(ARGVS)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2, 3)

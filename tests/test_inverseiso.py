@@ -273,6 +273,37 @@ def test_non_isomorphism_different_cuts_fails_condition1():
     assert report.status == "condition1_fails"
 
 
+def test_preperiod_stages_compared_concretely():
+    # A's preperiod reads A_0 = 0, not the eventual A = 1, so the stage-0
+    # spacer sums are 2 and 3 and the systems are never commensurable
+    spec_a = parse_spec("preperiod: [r=3, s=(1A, 2), acc=1]\n"
+                        "cycle: [r=3, s=(1h, 1h+1)]")
+    spec_b = parse_spec("preperiod: [r=3, s=(2, 1), acc=1]\n"
+                        "cycle: [r=3, s=(1h+1, 1h)]")
+    assert rule_at(spec_a, 0).spacers == (0, 2)
+    assert rule_at(spec_b, 0).spacers == (2, 1)
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert report.status == "condition1_fails"
+    assert report.commensurable is False
+    assert report.detail == "stage 0: cuts or spacer sums differ"
+
+
+def test_preperiod_with_unequal_growth_is_decided():
+    # the preperiod's spacers grow at different rates, which only matters
+    # at its one concrete stage; the cycle decides the reversal pair
+    spec = parse_spec("preperiod: [r=3, s=(1h, 2h)]\ncycle: [r=3, s=(1h, 1h+1)]")
+    report = check_non_isomorphism(spec, reversed_parameters(spec))
+    assert report.status == "criteria_met"
+    assert report.cross_bound == 2 and report.witness.stage == 1
+
+
+def test_non_isomorphism_rejects_empty_horizon():
+    chacon = get_spec("chacon")
+    for horizon in (0, -1):
+        with pytest.raises(SpecError):
+            check_non_isomorphism(chacon, get_spec("chacon-reversed"), horizon)
+
+
 def test_non_isomorphism_requires_certificates():
     spec = parse_spec("cycle:[r=2, s=(0)]")
     report = check_non_isomorphism(spec, spec)

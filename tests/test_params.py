@@ -2,7 +2,7 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone.errors import (
@@ -13,12 +13,14 @@ from rankone.errors import (
 )
 from rankone.params import (
     SPEC_CACHE_SIZE,
+    BoundednessRefutation,
     ParameterSpec,
     SpacerExpr,
     StageRule,
     certified,
     check_rewriting_criterion,
     check_partially_bounded,
+    eventual_cycle,
     heights,
     normalize,
     parse_spec,
@@ -117,6 +119,33 @@ def specs(draw):
 @settings(max_examples=200, deadline=None)
 def test_serialize_parse_identity(spec):
     assert parse_spec(serialize_spec(spec)) == spec
+
+
+@given(specs())
+@example(parse_spec(  # A doubles from 2 on: not folded
+    "preperiod: [r=2, s=(0), acc=2]; cycle: [r=2, s=(1h+1A), acc=1A]"))
+@example(parse_spec(  # A stays 0: folded although the increment reads A
+    "cycle: [r=2, s=(1h+1A), acc=1A]"))
+@settings(max_examples=100, deadline=None)
+def test_eventual_cycle_agrees_with_the_stages(spec):
+    # past the preperiod each eventual rule evaluates to the concrete stage
+    cycle = eventual_cycle(spec)
+    t0 = len(spec.preperiod)
+    for view in stage_table(spec).views(t0, t0 + 2 * len(cycle) + 2):
+        rule = cycle[spec.cycle_position(view.n)]
+        assert rule.r == view.r
+        assert tuple(e.value(view.h, view.acc) for e in rule.spacers) == view.spacers
+        last = None if rule.last is None else rule.last.value(view.h, view.acc)
+        assert last == view.last
+        next_acc = stage_table(spec).view(view.n + 1).acc
+        assert view.acc + rule.effective_acc.value(view.h, view.acc) == next_acc
+    # the cycle is folded exactly when A stays put through one period
+    accs = {v.acc for v in stage_table(spec).views(t0, t0 + len(cycle) + 1)}
+    folded = all(
+        rule.effective_acc.is_zero and all(e.c == 0 for e in rule.spacers)
+        for rule in cycle
+    )
+    assert folded == (len(accs) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +359,41 @@ def test_numeric_mode_refutes_at_horizon():
     result = check_partially_bounded(spec, mode="numeric", up_to=6)
     assert result.status == "refuted"
     assert result.refutation.stage == 6
+
+
+def test_numeric_refutation_names_the_last_failing_slot():
+    spec = parse_spec("cycle:[r=4, s=(0, 1h, 2)]")
+    result = check_partially_bounded(spec, mode="numeric", up_to=3)
+    assert result.refutation == BoundednessRefutation(
+        3, 3, i=2, detail="s_3(2)=2 < h_3=187"
+    )
+    assert result.detail == "condition (3) fails at the last checked stage 3"
+
+
+def test_symbolic_verdicts_hold_numerically():
+    # a symbolic refutation at stage s is a numeric refutation at up_to=s,
+    # and a symbolic certificate (R, S, N) bounds the numeric certificates
+    # of the stages N .. N+5
+    rng = Random(71)
+    counts = {"certified": 0, "refuted": 0, "unknown": 0}
+    for _ in range(3000):
+        spec = random_normalized_spec(rng)
+        sym = check_partially_bounded(spec)
+        counts[sym.status] += 1
+        if sym.status == "refuted":
+            s = sym.refutation.stage
+            num = check_partially_bounded(spec, mode="numeric", up_to=s)
+            assert num.status == "refuted" and num.refutation.stage == s
+            view = rule_at(spec, s)
+            assert any(x < view.h for x in view.spacers)
+        elif sym.status == "certified":
+            c = sym.certificate
+            for up_to in range(c.N, c.N + 6):
+                num = check_partially_bounded(spec, mode="numeric", up_to=up_to)
+                assert num.status == "certified"
+                n = num.certificate
+                assert n.N <= c.N and n.R_frak <= c.R_frak and n.S_frak <= c.S_frak
+    assert counts["certified"] > 1500 and counts["refuted"] > 150
 
 
 def test_numeric_mode_rejects_negative_horizon():

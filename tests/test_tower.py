@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from rankone.errors import SpecError, UndefinedOrbitError
+from rankone.errors import CapExceededError, SpecError, UndefinedOrbitError
 from rankone.params import heights
 from rankone.registry import get_spec
 from rankone.tower import (
@@ -254,6 +254,19 @@ def test_name_window_near_the_right_edge():
 def test_verify_injectivity_smoke():
     report = verify_injectivity(get_spec("chacon"), trials=100, seed=3)
     assert report.ok and report.separated == 100
+
+
+def test_verify_injectivity_trial_count():
+    chacon = get_spec("chacon")
+    assert verify_injectivity(chacon, trials=0).trials == 0
+    with pytest.raises(SpecError):
+        verify_injectivity(chacon, trials=-5)
+
+
+def test_verify_injectivity_window_past_the_cap():
+    # 4*h_10 letters for m = 9; refused before any point is drawn
+    with pytest.raises(CapExceededError, match="m=9 has 135444244 letters"):
+        verify_injectivity(get_spec("chacon"), trials=1, m=9)
 
 
 def test_verify_injectivity_short_window():
