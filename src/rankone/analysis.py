@@ -306,16 +306,13 @@ class DensityReport:
 
 def good_density(
     pair: CandidatePair,
-    certificate: Optional[PartialBoundednessCertificate] = None,
     classification: Optional[Classification] = None,
 ) -> DensityReport:
     """Exact fraction of good occurrences among the determinate ones,
     against the threshold 1 - 1/(2R + 1) from the certificate."""
     cls = classification or classify(pair)
-    if certificate is None:
-        certificate = certified(pair.spec)
     good, bad, ind = cls.counts()
-    threshold = 1 - Fraction(1, 2 * certificate.R_frak + 1)
+    threshold = 1 - Fraction(1, 2 * certified(pair.spec).R_frak + 1)
     if good + bad == 0:
         return DensityReport(good, bad, ind, None, threshold, None)
     density = Fraction(good, good + bad)
@@ -384,9 +381,27 @@ def classify_totally(
 # pair construction
 
 
-def word_window(spec: ParameterSpec, m: int, anchor: int = 0) -> NameWindow:
+def word_window(spec: ParameterSpec, m: int) -> NameWindow:
     """The stage-m word as a name window (every itinerary is tiled by it)."""
-    return NameWindow(anchor, build_word(spec, m).letters, provenance=f"word:{m}")
+    return NameWindow(0, build_word(spec, m).letters, provenance=f"word:{m}")
+
+
+def cut_pair(
+    spec: ParameterSpec, n: int, x: NameWindow, image: bytes,
+    kappa: Optional[int] = None,
+) -> CandidatePair:
+    """The pair of x, a word_window, and the image letters, both cut to
+    their shared length.  The cut x keeps its provenance, so classify still
+    cross-checks it; kappa defaults to select_kappa."""
+    if kappa is None:
+        kappa = select_kappa(spec)
+    shared = min(len(x), len(image))
+    return CandidatePair(
+        spec=spec,
+        x=NameWindow(x.anchor, x.letters[:shared], provenance=x.provenance),
+        y=NameWindow(x.anchor, image[:shared]),
+        kappa=kappa, n=n,
+    )
 
 
 def shift_pair(
@@ -395,14 +410,10 @@ def shift_pair(
 ) -> CandidatePair:
     """The pair (x, y) with y the source itinerary shifted by ell, i.e. the
     image window of the ell-th power of the transformation."""
-    if kappa is None:
-        kappa = select_kappa(spec)
-    word = build_word(spec, m).letters
-    if not 0 <= ell < len(word):
-        raise SpecError(f"shift {ell} out of range for |w_{m}| = {len(word)}")
-    x = NameWindow(0, word[:len(word) - ell], provenance=f"word:{m}")
-    y = NameWindow(0, word[ell:])
-    return CandidatePair(spec=spec, x=x, y=y, kappa=kappa, n=n)
+    x = word_window(spec, m)
+    if not 0 <= ell < len(x):
+        raise SpecError(f"shift {ell} out of range for |w_{m}| = {len(x)}")
+    return cut_pair(spec, n, x, x.letters[ell:], kappa)
 
 
 def corrupt_gap_pair(
@@ -413,19 +424,14 @@ def corrupt_gap_pair(
     """A pair whose image window is the source with one inter-copy 1-run
     length altered (the tail shifts accordingly, and both windows are cut to
     the shared length).  Returns the pair and the corrupted gap instance."""
-    if kappa is None:
-        kappa = select_kappa(spec)
-    word = build_word(spec, m).letters
     gaps = gap_instances(spec, n, m)
     if not 0 <= gap_ordinal < len(gaps):
         raise SpecError(f"gap ordinal {gap_ordinal} out of range ({len(gaps)} gaps)")
     if new_length < 0:
         raise SpecError(f"gap length must be >= 0, got {new_length}")
     g = gaps[gap_ordinal]
+    x = word_window(spec, m)
     corrupted = (
-        word[:g.position] + b"1" * new_length + word[g.position + g.length:]
+        x.letters[:g.position] + b"1" * new_length + x.letters[g.position + g.length:]
     )
-    shared = min(len(word), len(corrupted))
-    x = NameWindow(0, word[:shared], provenance=f"word:{m}" if shared == len(word) else None)
-    y = NameWindow(0, corrupted[:shared])
-    return CandidatePair(spec=spec, x=x, y=y, kappa=kappa, n=n), g
+    return cut_pair(spec, n, x, corrupted, kappa), g

@@ -36,6 +36,12 @@ def _load_spec(ref: str) -> params.ParameterSpec:
     return params.parse_spec(path.read_text())
 
 
+def _load_normalized(ref: str) -> params.ParameterSpec:
+    """The spec, in its normalized presentation when it is given raw."""
+    spec = _load_spec(ref)
+    return spec if spec.normalized else params.normalize(spec)
+
+
 def _jsonable(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
@@ -74,9 +80,7 @@ def _ints(text: str, count: int, form: str) -> tuple[int, ...]:
 
 
 def cmd_word(args) -> int:
-    spec = _load_spec(args.spec)
-    if not spec.normalized:
-        spec = params.normalize(spec)
+    spec = _load_normalized(args.spec)
     if args.at is not None:
         letter, address = words.letter_at(spec, args.n, args.at)
         payload = {
@@ -177,23 +181,13 @@ def _build_pair(args, spec) -> analysis.CandidatePair:
         except (OSError, UnicodeError) as exc:
             raise RankOneError(f"cannot read the image file: {exc}") from None
         x = analysis.word_window(spec, args.m)
-        shared = min(len(letters), len(x))
-        kappa = args.kappa if args.kappa is not None else analysis.select_kappa(spec)
-        return analysis.CandidatePair(
-            spec=spec,
-            x=tower.NameWindow(0, x.letters[:shared], provenance=x.provenance
-                               if shared == len(x) else None),
-            y=tower.NameWindow(0, letters[:shared]),
-            kappa=kappa, n=args.n,
-        )
+        return analysis.cut_pair(spec, args.n, x, letters, kappa=args.kappa)
     raise RankOneError(f"unknown image source {args.y!r}; "
                        "use shift:<l>, corrupt:<gap>:<len>, or file:<path>")
 
 
 def cmd_analyze(args) -> int:
-    spec = _load_spec(args.spec)
-    if not spec.normalized:
-        spec = params.normalize(spec)
+    spec = _load_normalized(args.spec)
     pair = _build_pair(args, spec)
     cls = analysis.classify(pair)
     density = analysis.good_density(pair, classification=cls)
@@ -230,9 +224,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_inverse(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_normalized(args.spec)
     if args.against is not None:
-        other = _load_spec(args.against)
+        other = _load_normalized(args.against)
         report = inverseiso.check_non_isomorphism(
             spec, other, horizon_periods=args.horizon
         )
@@ -275,7 +269,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_injectivity(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_normalized(args.spec)
     report = tower.verify_injectivity(
         spec, trials=args.trials, m=args.m, seed=args.seed
     )

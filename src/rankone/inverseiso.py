@@ -92,7 +92,10 @@ def group_stages(
 ) -> tuple[int, SpacerTuple]:
     """Collapse ``count`` consecutive stages starting at ``from_stage`` into
     one: the cut count is the product of the r's and the spacer tuple is the
-    star-fold of the concrete tuples, outermost stage first."""
+    star-fold of the concrete tuples, outermost stage first.  Raw specs
+    are refused: the fold has no place for last-column spacers."""
+    if not spec.normalized:
+        raise SpecError("stage grouping is defined for normalized specs")
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
     views = stage_table(spec).views(from_stage, from_stage + count)

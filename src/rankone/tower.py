@@ -221,19 +221,17 @@ class InjectivityReport:
 def verify_injectivity(
     spec: ParameterSpec,
     trials: int,
-    window: Optional[int] = None,
     m: int = 3,
     seed: int = 0,
 ) -> InjectivityReport:
     """Sample pairs of points in distinct levels of C_m and check their name
     windows differ.  Any non-separated pair is a bug (the names of points in
     distinct levels must split once the lower one exits the column top into
-    spacers), so the failure list should always be empty.  The window, by
-    default 4*h_{m+1} letters, must fit the decode cap."""
+    spacers), so the failure list should always be empty.  The window of
+    4*h_{m+1} letters must fit the decode cap."""
     if trials < 0:
         raise SpecError(f"trials must be >= 0, got {trials}")
-    if window is None:
-        window = 4 * stage_table(spec).view(m + 1).h
+    window = 4 * stage_table(spec).view(m + 1).h
     if window > DEFAULT_CAP:
         raise CapExceededError(
             f"the name window for m={m} has {window} letters, more than the "

@@ -166,11 +166,6 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
     return 0, WordAddress(stage=n, index=j, path=tuple(path), spacer=None)
 
 
-def letter(spec: ParameterSpec, n: int, j: int) -> int:
-    """Just the letter w_n[j]; see letter_at for the address variant."""
-    return decode(spec, n, j, j + 1)[0] - 0x30
-
-
 def occurrences(pattern: WordLike, text: WordLike) -> list[int]:
     """All i with text[i : i+|pattern|] == pattern, overlapping included."""
     p, t = as_bytes(pattern), as_bytes(text)
@@ -227,7 +222,7 @@ def builds(u: WordLike, w: WordLike) -> BuildsResult:
 def expected_occurrences(spec: ParameterSpec, n: int, m: int) -> list[int]:
     """Indices of the copies of w_n inside w_m produced by unrolling the
     recursion from stage m down to stage n (the sublevels of the stage-n
-    base inside column m)."""
+    base inside column m), in increasing order."""
     if not spec.normalized:
         raise SpecError("expected occurrences are defined for normalized specs")
     if not 0 <= n <= m:
@@ -237,7 +232,6 @@ def expected_occurrences(spec: ParameterSpec, n: int, m: int) -> list[int]:
     for k in range(m - 1, n - 1, -1):
         offs = views[k].offsets
         positions = [p + o for p in positions for o in offs]
-    positions.sort()
     return positions
 
 
@@ -253,25 +247,21 @@ class GapInstance:
 
 def gap_instances(spec: ParameterSpec, n: int, m: int) -> list[GapInstance]:
     """All 1-runs between consecutive expected copies of w_n inside w_m,
-    tagged with the stage and tuple slot that produced them."""
-    if not 0 <= n <= m:
-        raise SpecError(f"need 0 <= n <= m, got n={n}, m={m}")
-    views = stage_table(spec).views(0, m)
-    # build upward: gaps of w_n inside w_k for k = n .. m
-    current: list[GapInstance] = []
-    for k in range(n, m):
-        view = views[k]
-        offs = view.offsets
-        merged: list[GapInstance] = []
-        for idx, off in enumerate(offs):
-            merged.extend(
-                GapInstance(g.position + off, g.length, g.stage, g.slot)
-                for g in current
-            )
-            if idx < view.r - 1:
-                merged.append(
-                    GapInstance(off + view.h, view.spacers[idx], k, idx)
-                )
-        current = merged
-    current.sort(key=lambda g: g.position)
-    return current
+    tagged with the stage and tuple slot that produced them.
+
+    The run after copy i comes from the lowest stage whose mixed-radix
+    digit d of i + 1 is nonzero; it is that stage's spacer d - 1."""
+    starts = expected_occurrences(spec, n, m)
+    table = stage_table(spec)
+    h = table.view(n).h
+    radices = [v.r for v in table.views(n, m)]
+    gaps = []
+    for j, (a, b) in enumerate(zip(starts, starts[1:]), 1):
+        q, stage = j, n
+        for r in radices:
+            q, digit = divmod(q, r)
+            if digit:
+                break
+            stage += 1
+        gaps.append(GapInstance(a + h, b - a - h, stage, digit - 1))
+    return gaps

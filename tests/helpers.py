@@ -128,6 +128,25 @@ def oracle_word(spec: ParameterSpec, n: int) -> bytes:
     return w
 
 
+def oracle_gap_instances(spec: ParameterSpec, n: int, m: int):
+    """(position, length, stage, slot) of every 1-run between consecutive
+    copies of w_n inside w_m, merged bottom up: w_{k+1} lays r_k copies of
+    w_k's runs side by side, joined by stage k's own spacers."""
+    views = list(itertools.islice(stage_views(spec), m))
+    runs: list[tuple[int, int, int, int]] = []
+    for k in range(n, m):
+        view = views[k]
+        merged = []
+        off = 0
+        for slot in range(view.r):
+            merged.extend((p + off, length, st, sl) for p, length, st, sl in runs)
+            if slot < view.r - 1:
+                merged.append((off + view.h, view.spacers[slot], k, slot))
+                off += view.h + view.spacers[slot]
+        runs = merged
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # orbit oracle
 

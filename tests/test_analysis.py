@@ -108,6 +108,15 @@ def test_enlarged_gap_breaks_the_following_occurrence():
     assert before and all(r.verdict == GOOD for r in before)
 
 
+def test_shortened_gap_pair_keeps_the_word_provenance():
+    # the cut x is still a prefix of w_m, so classify cross-checks it
+    chacon = get_spec("chacon")
+    target = gap_instances(chacon, 2, 4)[4]
+    pair, _ = corrupt_gap_pair(chacon, 2, 4, 4, target.length - 1)
+    assert len(pair.x) == len(build_word(chacon, 4)) - 1
+    assert pair.x.provenance == "word:4"
+
+
 def test_corrupt_gap_pair_rejects_negative_length():
     with pytest.raises(SpecError):
         corrupt_gap_pair(get_spec("chacon"), 2, 4, 4, -3)

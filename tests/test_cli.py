@@ -145,6 +145,24 @@ def test_analyze_image_from_file(capsys, tmp_path):
     assert "verdict=good rho=2" in out
 
 
+def test_short_image_file_keeps_the_word_provenance(tmp_path):
+    # the cut x is still a prefix of w_m, so classify cross-checks it
+    import argparse
+
+    from rankone.cli import _build_pair
+    from rankone.registry import get_spec
+    from rankone.words import build_word
+
+    chacon = get_spec("chacon")
+    word = build_word(chacon, 4).to_text()
+    image = tmp_path / "image.txt"
+    image.write_text(word[3:])
+    args = argparse.Namespace(y=f"file:{image}", n=2, m=4, kappa=None)
+    pair = _build_pair(args, chacon)
+    assert len(pair.x) == len(word) - 3
+    assert pair.x.provenance == "word:4"
+
+
 def test_parse_tolerates_spacing(capsys, tmp_path):
     config = tmp_path / "spaced.cfg"
     config.write_text("name: spaced\ncycle: [ r = 3 , s = ( 0 , 1 ) , last = 3h+1 ]\n")
@@ -191,6 +209,24 @@ def test_inverse_uneven_preperiods_exit_negative(capsys, tmp_path):
                        "--against", str(spec_b))
     assert code == 1
     assert "status=condition1_fails" in out
+
+
+def test_inverse_normalizes_a_raw_spec(capsys):
+    raw = run(capsys, "inverse", "--spec", "chacon-raw")
+    assert raw == run(capsys, "inverse", "--spec", "chacon")
+    assert raw[0] == 1
+
+
+def test_inverse_against_normalizes_a_raw_spec(capsys):
+    code, out, _ = run(capsys, "inverse", "--spec", "chacon-raw",
+                       "--against", "chacon-reversed")
+    assert code == 0
+    assert "criteria_met=True status=criteria_met" in out
+
+
+def test_injectivity_normalizes_a_raw_spec(capsys):
+    code, out, _ = run(capsys, "injectivity", "--spec", "hk-raw", "--trials", "3")
+    assert code == 0 and out.strip() == "trials=3 separated=3 failures=0"
 
 
 def test_normalize_round_trip(capsys, tmp_path):

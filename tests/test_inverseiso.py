@@ -145,6 +145,12 @@ def test_group_single_stage():
     assert (q, t) == (view.r, view.spacers)
 
 
+def test_group_stages_refuses_raw_specs():
+    # the fold has no place for the last-column spacers of a raw spec
+    with pytest.raises(SpecError, match="normalized"):
+        group_stages(get_spec("chacon-raw"), 0, 2)
+
+
 def test_grouped_word_matches_outer_stage():
     rng = Random(52)
     for spec in (get_spec("chacon"), get_spec("hk"), random_certified_spec(rng)):

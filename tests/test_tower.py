@@ -20,7 +20,7 @@ from rankone.tower import (
     sample_point,
     verify_injectivity,
 )
-from rankone.words import build_word, letter
+from rankone.words import build_word, letter_at
 
 from helpers import random_certified_spec, walk_name
 
@@ -149,7 +149,7 @@ def test_in_base0_matches_letters():
         spec = get_spec(name)
         for j in range(heights(spec, 3)[3]):
             p = TowerPoint(3, j, F(1, 7))
-            assert in_base0(spec, p) == (letter(spec, 3, j) == 0)
+            assert in_base0(spec, p) == (letter_at(spec, 3, j)[0] == 0)
 
 
 def test_name_at_base_is_the_stage_word():
@@ -267,15 +267,6 @@ def test_verify_injectivity_window_past_the_cap():
     # 4*h_10 letters for m = 9; refused before any point is drawn
     with pytest.raises(CapExceededError, match="m=9 has 135444244 letters"):
         verify_injectivity(get_spec("chacon"), trials=1, m=9)
-
-
-def test_verify_injectivity_short_window():
-    # one column height of letters already separates; a window of 4*h_3
-    # leaves plenty of slack
-    chacon = get_spec("chacon")
-    h3 = heights(chacon, 3)[3]
-    report = verify_injectivity(chacon, trials=200, window=4 * h3, seed=4)
-    assert report.ok and report.separated == 200
 
 
 def test_same_level_not_separable():

@@ -19,6 +19,7 @@ from rankone.words import (
 
 from helpers import (
     oracle_builds,
+    oracle_gap_instances,
     oracle_occurrences,
     oracle_word,
     random_certified_spec,
@@ -282,18 +283,36 @@ def test_unexpected_occurrences_without_certificate():
 
 
 def test_gap_instances_match_occurrence_diffs():
+    # each run is all 1s and sits between two copies of w_n in the word
     rng = Random(26)
     for spec in [get_spec("chacon"), get_spec("hk"),
                  random_certified_spec(rng)]:
         for n in range(1, 3):
+            wn = build_word(spec, n).letters
             for m in range(n, 5):
                 occs = expected_occurrences(spec, n, m)
                 gaps = gap_instances(spec, n, m)
                 assert len(gaps) == len(occs) - 1
-                h_n = heights(spec, n)[n]
-                for g, (a, b) in zip(gaps, zip(occs, occs[1:])):
-                    assert g.position == a + h_n
-                    assert g.length == b - a - h_n
+                wm = build_word(spec, m).letters
+                for g in gaps:
+                    end = g.position + g.length
+                    assert wm[g.position - len(wn):g.position] == wn
+                    assert wm[g.position:end] == b"1" * g.length
+                    assert wm[end:end + len(wn)] == wn
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 4), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_gap_instances_match_bottom_up_oracle(seed, n, depth):
+    spec = random_certified_spec(Random(seed), max_r=4)
+    got = [(g.position, g.length, g.stage, g.slot)
+           for g in gap_instances(spec, n, n + depth)]
+    assert got == oracle_gap_instances(spec, n, n + depth)
+
+
+def test_gap_instances_refuse_raw_specs():
+    with pytest.raises(SpecError, match="normalized"):
+        gap_instances(get_spec("chacon-raw"), 1, 3)
 
 
 def test_gap_lengths_come_from_the_spacers():
