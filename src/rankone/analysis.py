@@ -424,13 +424,13 @@ def corrupt_gap_pair(
     """A pair whose image window is the source with one inter-copy 1-run
     length altered (the tail shifts accordingly, and both windows are cut to
     the shared length).  Returns the pair and the corrupted gap instance."""
+    x = word_window(spec, m)  # its cap refuses an m too large to unroll
     gaps = gap_instances(spec, n, m)
     if not 0 <= gap_ordinal < len(gaps):
         raise SpecError(f"gap ordinal {gap_ordinal} out of range ({len(gaps)} gaps)")
     if new_length < 0:
         raise SpecError(f"gap length must be >= 0, got {new_length}")
     g = gaps[gap_ordinal]
-    x = word_window(spec, m)
     corrupted = (
         x.letters[:g.position] + b"1" * new_length + x.letters[g.position + g.length:]
     )

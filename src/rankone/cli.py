@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success or affirmative verdict, 1 refutation or negative
-verdict, 2 input error, 3 inconclusive.
+verdict, 2 input error, 3 inconclusive, 4 internal error (a defect in
+rankone, never a verdict).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_spec(ref: str) -> params.ParameterSpec:
@@ -33,7 +35,11 @@ def _load_spec(ref: str) -> params.ParameterSpec:
             f"{ref!r} is neither a registry spec ({', '.join(registry.names())}) "
             "nor a config file"
         )
-    return params.parse_spec(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeError) as exc:
+        raise RankOneError(f"cannot read the config file: {exc}") from None
+    return params.parse_spec(text)
 
 
 def _load_normalized(ref: str) -> params.ParameterSpec:
@@ -365,6 +371,9 @@ def main(argv=None) -> int:
     except RankOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a defect must not read as a refutation (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ closed under moving last-column spacers to later stages.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -616,158 +617,133 @@ def check_rewriting_criterion(spec: ParameterSpec) -> RewritingCriterionResult:
 # config text: parse and serialize
 
 
-class _Scanner:
+_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
+# a word keeps its leading digits (``2h``); any other character is a token
+_TOKEN = re.compile(r"[0-9]*[A-Za-z]+|[0-9]+|.|\Z", re.DOTALL)
+_TERM = re.compile(r"([0-9]*)([hA]?)")
+_NAME_TEXT = re.compile(r"[^\r\n;#]*")
+
+
+class _Tokens:
+    """A cursor over the tokens of config text: ``pos`` is where the last
+    token taken ends, and the token after it is matched once per position."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._peeked = (-1, 0, "")  # (pos, token start, token)
 
-    def error(self, message):
-        raise ParseError(message, self.line, self.col)
+    def peek(self) -> str:
+        """The next token, "" at the end of the text."""
+        if self._peeked[0] != self.pos:
+            start = _BLANKS.match(self.text, self.pos).end()
+            self._peeked = (self.pos, start, _TOKEN.match(self.text, start)[0])
+        return self._peeked[2]
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(self) -> None:
+        token = self.peek()
+        self.pos = self._peeked[1] + len(token)
 
-    def advance(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+    def accept(self, token: str) -> bool:
+        if self.peek() != token:
+            return False
+        self.take()
+        return True
 
-    def skip_ws(self, newlines=True):
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch in " \t" or (newlines and ch in "\r\n;"):
-                self.advance()
-            else:
-                break
+    def skip(self, token: str) -> bool:
+        """Take every repeat of ``token``; whether there was one."""
+        found = False
+        while self.accept(token):
+            found = True
+        return found
 
-    def expect(self, ch):
-        self.skip_ws(newlines=False)
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}, found {self.peek()!r}")
-        self.advance()
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            self.error(f"expected {token!r}, found {self.peek()!r}")
 
-    def read_int(self):
-        self.skip_ws(newlines=False)
-        start = self.pos
-        while self.peek().isdigit():
-            self.advance()
-        if start == self.pos:
-            if self.peek() == "-":
-                self.error("negative coefficients are not allowed")
-            self.error(f"expected an integer, found {self.peek()!r}")
-        return int(self.text[start:self.pos])
+    def rest_of_line(self) -> Optional[str]:
+        """The free text up to the end of the line, a ``;`` or a ``#``."""
+        text = _NAME_TEXT.match(self.text, self.pos)[0]
+        self.pos += len(text)
+        return text.strip() or None
 
-    def read_word(self):
-        self.skip_ws(newlines=False)
-        start = self.pos
-        while self.peek().isalpha():
-            self.advance()
-        return self.text[start:self.pos]
-
-    def read_expr(self) -> SpacerExpr:
-        a = c = b = 0
-        seen = set()
-        while True:
-            self.skip_ws(newlines=False)
-            if self.peek().isdigit():
-                n = self.read_int()
-                sym = self.peek()
-                if sym in "hA":
-                    self.advance()
-                else:
-                    sym = ""
-            elif self.peek() in "hA":
-                n, sym = 1, self.advance()
-            else:
-                self.error(f"expected a spacer term, found {self.peek()!r}")
-            if sym in seen:
-                self.error(f"duplicate {sym or 'constant'} term in expression")
-            seen.add(sym)
-            if sym == "h":
-                a = n
-            elif sym == "A":
-                c = n
-            else:
-                b = n
-            self.skip_ws(newlines=False)
-            if self.peek() == "+":
-                self.advance()
-            else:
-                return SpacerExpr(a, c, b)
+    def error(self, message: str):
+        """Raise a ParseError at the start of the next token."""
+        self.peek()
+        at = self._peeked[1]
+        col = at - self.text.rfind("\n", 0, at)
+        raise ParseError(message, self.text.count("\n", 0, at) + 1, col)
 
 
-def _parse_rule(sc: _Scanner) -> StageRule:
+def _read_term(tk: _Tokens, what: str, symbols: str) -> tuple[int, str]:
+    """A coefficient and its symbol, one of ``symbols`` or "" for a constant."""
+    token = tk.peek()
+    m = _TERM.fullmatch(token)
+    if token == "-":
+        tk.error("negative coefficients are not allowed")
+    if not token or not m or m[2] not in symbols:
+        tk.error(f"expected {what}, found {token!r}")
+    try:
+        n = int(m[1]) if m[1] else 1
+    except ValueError:  # more digits than int() converts
+        tk.error(f"integer of {len(m[1])} digits is too long")
+    tk.take()
+    return n, m[2]
+
+
+def _read_expr(tk: _Tokens) -> SpacerExpr:
+    coefficients = {}
+    while True:
+        n, sym = _read_term(tk, "a spacer term", "hA")
+        if sym in coefficients:
+            tk.error(f"duplicate {sym or 'constant'} term in expression")
+        coefficients[sym] = n
+        if not tk.accept("+"):
+            return SpacerExpr(coefficients.get("h", 0), coefficients.get("A", 0),
+                              coefficients.get("", 0))
+
+
+def _parse_rule(tk: _Tokens) -> StageRule:
     fields = {}
     while True:
-        sc.skip_ws()
-        key = sc.read_word()
+        key = tk.peek()
         if key not in ("r", "s", "last", "acc"):
-            sc.error(f"unknown rule field {key!r}")
+            tk.error(f"unknown rule field {key!r}")
         if key in fields:
-            sc.error(f"duplicate rule field {key!r}")
-        sc.expect("=")
+            tk.error(f"duplicate rule field {key!r}")
+        tk.take()
+        tk.expect("=")
         if key == "r":
-            fields["r"] = sc.read_int()
+            fields["r"] = _read_term(tk, "an integer", "")[0]
         elif key == "s":
-            sc.expect("(")
-            exprs = []
-            sc.skip_ws(newlines=False)
-            if sc.peek() != ")":
-                exprs.append(sc.read_expr())
-                while True:
-                    sc.skip_ws(newlines=False)
-                    if sc.peek() == ",":
-                        sc.advance()
-                        exprs.append(sc.read_expr())
-                    else:
-                        break
-            sc.expect(")")
+            tk.expect("(")
+            exprs = [] if tk.peek() == ")" else [_read_expr(tk)]
+            while exprs and tk.accept(","):
+                exprs.append(_read_expr(tk))
+            tk.expect(")")
             fields["s"] = tuple(exprs)
         else:
-            fields[key] = sc.read_expr()
-        sc.skip_ws(newlines=False)
-        if sc.peek() == ",":
-            sc.advance()
-            continue
-        break
+            fields[key] = _read_expr(tk)
+        if not tk.accept(","):
+            break
     if "r" not in fields or "s" not in fields:
-        sc.error("rule needs both r=<int> and s=(...)")
+        tk.error("rule needs both r=<int> and s=(...)")
     try:
         return StageRule(
             r=fields["r"], spacers=fields["s"],
             last=fields.get("last"), acc=fields.get("acc"),
         )
     except SpecError as exc:
-        sc.error(str(exc))
+        tk.error(str(exc))
 
 
-def _parse_rule_list(sc: _Scanner) -> tuple[StageRule, ...]:
-    sc.expect("[")
-    rules = []
-    sc.skip_ws()
-    if sc.peek() != "]":
-        rules.append(_parse_rule(sc))
-        while True:
-            sc.skip_ws(newlines=False)
-            if sc.peek() == ";":
-                sc.advance()
-                sc.skip_ws()
-                if sc.peek() == "]":
-                    break
-                rules.append(_parse_rule(sc))
-            else:
-                break
-    sc.expect("]")
+def _parse_rule_list(tk: _Tokens) -> tuple[StageRule, ...]:
+    tk.expect("[")
+    tk.skip(";")
+    rules = [] if tk.peek() == "]" else [_parse_rule(tk)]
+    while rules and tk.skip(";") and tk.peek() != "]":
+        rules.append(_parse_rule(tk))
+    tk.expect("]")
     return tuple(rules)
 
 
@@ -780,38 +756,32 @@ def parse_spec(text: str) -> ParameterSpec:
 
     where each rule is ``r=<int>, s=(<expr>, ...)[, last=<expr>][, acc=<expr>]``
     and an expression is a ``+``-joined sum of ``<int>``, ``<int>h``, and
-    ``<int>A`` terms.  ``#`` starts a comment.  Fields may be separated by
-    newlines or semicolons.
+    ``<int>A`` terms.  Integers are ASCII digits.  Blanks, newlines and
+    ``#`` comments may separate any two tokens; the name runs to the end of
+    its line.  Each field appears at most once, and fields may also be
+    separated by semicolons.
     """
-    sc = _Scanner(text)
-    name = None
-    preperiod: tuple[StageRule, ...] = ()
-    cycle = None
+    tk = _Tokens(text)
+    fields = {}
     while True:
-        sc.skip_ws()
-        if sc.pos >= len(sc.text):
-            break
-        key = sc.read_word()
+        tk.skip(";")
+        key = tk.peek()
         if not key:
-            sc.error(f"expected a field name, found {sc.peek()!r}")
-        sc.expect(":")
-        if key == "name":
-            sc.skip_ws(newlines=False)
-            start = sc.pos
-            while sc.pos < len(sc.text) and sc.peek() not in "\r\n;#":
-                sc.advance()
-            name = sc.text[start:sc.pos].strip() or None
-        elif key == "preperiod":
-            preperiod = _parse_rule_list(sc)
-        elif key == "cycle":
-            cycle = _parse_rule_list(sc)
-        else:
-            sc.error(f"unknown field {key!r}")
-    if cycle is None:
-        raise ParseError("missing required field 'cycle'", sc.line, sc.col)
-    if not cycle:
-        raise ParseError("cycle must be nonempty", sc.line, sc.col)
-    return ParameterSpec(cycle=cycle, preperiod=preperiod, name=name)
+            break
+        if key not in ("name", "preperiod", "cycle"):
+            tk.error(f"unknown field {key!r}" if key[-1].isalpha()
+                     else f"expected a field name, found {key!r}")
+        if key in fields:
+            tk.error(f"duplicate field {key!r}")
+        tk.take()
+        tk.expect(":")
+        fields[key] = tk.rest_of_line() if key == "name" else _parse_rule_list(tk)
+    if "cycle" not in fields:
+        tk.error("missing required field 'cycle'")
+    if not fields["cycle"]:
+        tk.error("cycle must be nonempty")
+    return ParameterSpec(cycle=fields["cycle"], preperiod=fields.get("preperiod", ()),
+                         name=fields.get("name"))
 
 
 def _format_rule(rule: StageRule) -> str:

@@ -222,12 +222,21 @@ def builds(u: WordLike, w: WordLike) -> BuildsResult:
 def expected_occurrences(spec: ParameterSpec, n: int, m: int) -> list[int]:
     """Indices of the copies of w_n inside w_m produced by unrolling the
     recursion from stage m down to stage n (the sublevels of the stage-n
-    base inside column m), in increasing order."""
+    base inside column m), in increasing order.  More than DEFAULT_CAP
+    copies raise CapExceededError before any is placed."""
     if not spec.normalized:
         raise SpecError("expected occurrences are defined for normalized specs")
     if not 0 <= n <= m:
         raise SpecError(f"need 0 <= n <= m, got n={n}, m={m}")
     views = stage_table(spec).views(0, m)
+    copies = 1
+    for view in views[n:m]:
+        copies *= view.r
+        if copies > DEFAULT_CAP:
+            raise CapExceededError(
+                f"w_{m} holds more than {DEFAULT_CAP} copies of w_{n}; "
+                "unroll from a higher n or to a lower m"
+            )
     positions = [0]
     for k in range(m - 1, n - 1, -1):
         offs = views[k].offsets

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import cli
 from rankone.cli import main
-from rankone.registry import names
+from rankone.params import serialize_spec
+from rankone.registry import get_spec, names
 
 W2_CHACON = "001011110010111110010"
 
@@ -273,6 +275,17 @@ def test_bad_config_reports_position(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory):
+    """Config paths that --spec may name: missing, a directory, a file that is
+    not UTF-8, one with a superscript digit, and one the test writes."""
+    root = tmp_path_factory.mktemp("specs")
+    (root / "binary.cfg").write_bytes(b"\xff\xfe\x00cycle")
+    (root / "superscript.cfg").write_text("cycle: [r=2, s=(\u00b2)]\n")
+    return {name: str(root / f"{name}.cfg") for name in
+            ("missing", "binary", "superscript", "text")} | {"directory": str(root)}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["name", "--spec", "chacon", "--point", "2:0:1/5", "--window", "3"], 2),
     (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
@@ -293,18 +306,32 @@ def test_bad_config_reports_position(capsys, tmp_path):
       "--horizon", "0"], 2),
     (["inverse", "--spec", "chacon", "--against", "chacon-reversed",
       "--horizon", "-1"], 2),
+    (["check", "--spec", "{directory}"], 2),
+    (["check", "--spec", "{binary}"], 2),
+    (["check", "--spec", "{superscript}"], 2),
+    (["analyze", "--spec", "chacon", "--n", "0", "--m", "20", "--y",
+      "corrupt:0:1"], 2),
 ])
-def test_bad_input_exit_codes(capsys, tmp_path, argv, code):
-    argv = [v.format(missing=tmp_path / "missing.txt") for v in argv]
+def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
+    argv = [v.format(**spec_paths) for v in argv]
     got, _, err = run(capsys, *argv)
     assert got == code
     assert "Traceback" not in err
 
 
+def test_uncaught_exception_exits_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_word", lambda args: 1 // 0)
+    code, out, err = run(capsys, "word", "--spec", "chacon", "--n", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any argv ends in an exit code, never in an escaped exception
 
-SPECS = st.sampled_from(names() + ["nope"])
+SPECS = st.sampled_from(names() + ["nope", "{missing}", "{directory}", "{binary}",
+                                   "{text}"])
 STAGES = st.integers(-2, 12)
 SMALL = st.integers(-3, 20)
 MISSING = str(Path(__file__).parent / "no-such-image.txt")
@@ -354,9 +381,17 @@ ARGVS = st.tuples(
 ).map(lambda t: t[0] + t[1])
 
 
-@given(ARGVS)
+CONFIGS = st.one_of(
+    st.text(),
+    st.sampled_from([serialize_spec(get_spec(name)) for name in names()]),
+)
+
+
+@given(ARGVS, CONFIGS)
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_argv_ends_in_an_exit_code(argv):
+def test_fuzzed_argv_ends_in_an_exit_code(spec_paths, argv, config):
+    Path(spec_paths["text"]).write_text(config, errors="surrogatepass")
+    argv = [v.format(**spec_paths) for v in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -88,6 +89,42 @@ def test_parse_error_carries_position():
     assert info.value.col > 1
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    ("cycle: [r=2,\n s=(\u00b2)]", 2, 5, "expected a spacer term, found '\u00b2'"),
+    ("cycle: [r=2, s=(\u0663)]", 1, 17, "expected a spacer term, found '\u0663'"),
+    ("cycle: [r=\u0663, s=(0, 1)]", 1, 11, "expected an integer, found '\u0663'"),
+    ("cycle: [r=2, s=(0)]\ncycle: [r=3, s=(0, 1)]", 2, 1, "duplicate field 'cycle'"),
+    ("name: a\n\nname: b\ncycle: [r=2, s=(0)]", 3, 1, "duplicate field 'name'"),
+    ("cycle: [r=2,;s=(0)]", 1, 13, "unknown rule field ';'"),
+    ("cycle: [r=2, s=(0)\n  }", 2, 3, "expected ']', found '}'"),
+    ("cycle: [r=2, s=(1h+ # no newline ends this", 1, 43,
+     "expected a spacer term, found ''"),
+    ("cycle: [r=2, s=(" + "9" * 5000 + ")]", 1, 17, "5000 digits is too long"),
+])
+def test_parse_error_positions(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value).endswith(message)
+
+
+def test_blanks_may_separate_any_tokens():
+    spec = parse_spec("cycle: [r=2, s=(0)]")
+    assert parse_spec("cycle\n:\n[ r\n=\n2 ,\ns\r\n= ( # c\n0\n)\n]") == spec
+    assert parse_spec("name:\ncycle: [r=2, s=(0)]") == spec
+
+
+@given(st.text())
+@example("cycle: [r=2, s=(\u00b2)]")
+@example("cycle: [r=2, s=(1h+#")
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        parse_spec(text)
+    except SpecError:  # ParseError, or a spec the parsed rules cannot form
+        pass
+
+
 def test_registry_round_trips():
     for name in names():
         spec = get_spec(name)
@@ -119,6 +156,24 @@ def specs(draw):
 @settings(max_examples=200, deadline=None)
 def test_serialize_parse_identity(spec):
     assert parse_spec(serialize_spec(spec)) == spec
+
+
+# the tokens of the config grammar: a word keeps its leading digits
+TOKENS = re.compile(r"[0-9]*[A-Za-z]+|[0-9]+|\S")
+BLANKS = ["", " ", "\t", "\n", "\r\n", " # note\n", "\n\t# note\n\n"]
+
+
+@given(specs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_blanks_and_comments_between_tokens_parse_alike(spec, rng):
+    text = serialize_spec(spec)
+    pieces = []
+    if spec.name:  # the name runs to the end of its line
+        name_line, text = text.split("\n", 1)
+        pieces = ["name", name_line[len("name"):] + "\n"]
+    pieces += TOKENS.findall(text)
+    spread = "".join(p + rng.choice(BLANKS) for p in pieces)
+    assert parse_spec(spread) == spec
 
 
 @given(specs())

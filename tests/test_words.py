@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import words
 from rankone.errors import CapExceededError, SpecError
 from rankone.params import certified, heights, parse_spec
 from rankone.registry import get_spec
@@ -251,6 +252,15 @@ def test_expected_count_is_product_of_cuts():
                 for k in range(n, m):
                     count *= spec.rule_schedule(k).r
                 assert len(expected_occurrences(spec, n, m)) == count
+
+
+def test_unroll_refuses_more_copies_than_the_cap(monkeypatch):
+    chacon = get_spec("chacon")
+    monkeypatch.setattr(words, "DEFAULT_CAP", 9)
+    assert len(expected_occurrences(chacon, 1, 3)) == 9
+    for unroll in (expected_occurrences, gap_instances):
+        with pytest.raises(CapExceededError, match="more than 9 copies of w_0"):
+            unroll(chacon, 0, 3)
 
 
 def test_expected_equals_scanned_for_certified():
