@@ -47,7 +47,6 @@ from .params import (
 )
 from .registry import get_spec
 from .tower import (
-    NameWindow,
     TowerPoint,
     apply_T,
     apply_T_inverse,
@@ -60,7 +59,7 @@ from .tower import (
     verify_injectivity,
 )
 from .words import (
-    RankOneWord,
+    NameWindow,
     build_word,
     builds,
     decode,

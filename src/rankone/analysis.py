@@ -30,8 +30,8 @@ from .params import (
     certified,
     stage_table,
 )
-from .tower import NameWindow
-from .words import build_word, expected_occurrences, gap_instances, occurrences
+from .words import (NameWindow, build_word, expected_occurrences,
+                    gap_instances, occurrences)
 
 GOOD = "good"
 BAD = "bad"
@@ -381,18 +381,13 @@ def classify_totally(
 # pair construction
 
 
-def word_window(spec: ParameterSpec, m: int) -> NameWindow:
-    """The stage-m word as a name window (every itinerary is tiled by it)."""
-    return NameWindow(0, build_word(spec, m).letters, provenance=f"word:{m}")
-
-
 def cut_pair(
     spec: ParameterSpec, n: int, x: NameWindow, image: bytes,
     kappa: Optional[int] = None,
 ) -> CandidatePair:
-    """The pair of x, a word_window, and the image letters, both cut to
-    their shared length.  The cut x keeps its provenance, so classify still
-    cross-checks it; kappa defaults to select_kappa."""
+    """The pair of x, a stage word from build_word, and the image letters,
+    both cut to their shared length.  The cut x keeps its provenance, so
+    classify still cross-checks it; kappa defaults to select_kappa."""
     if kappa is None:
         kappa = select_kappa(spec)
     shared = min(len(x), len(image))
@@ -410,7 +405,7 @@ def shift_pair(
 ) -> CandidatePair:
     """The pair (x, y) with y the source itinerary shifted by ell, i.e. the
     image window of the ell-th power of the transformation."""
-    x = word_window(spec, m)
+    x = build_word(spec, m)
     if not 0 <= ell < len(x):
         raise SpecError(f"shift {ell} out of range for |w_{m}| = {len(x)}")
     return cut_pair(spec, n, x, x.letters[ell:], kappa)
@@ -424,7 +419,7 @@ def corrupt_gap_pair(
     """A pair whose image window is the source with one inter-copy 1-run
     length altered (the tail shifts accordingly, and both windows are cut to
     the shared length).  Returns the pair and the corrupted gap instance."""
-    x = word_window(spec, m)  # its cap refuses an m too large to unroll
+    x = build_word(spec, m)  # its cap refuses an m too large to unroll
     gaps = gap_instances(spec, n, m)
     if not 0 <= gap_ordinal < len(gaps):
         raise SpecError(f"gap ordinal {gap_ordinal} out of range ({len(gaps)} gaps)")

@@ -97,11 +97,11 @@ def cmd_word(args) -> int:
         return EXIT_OK
     if args.range is not None:
         a, b = _ints(args.range, 2, "a:b")
-        chunk = words.decode(spec, args.n, a, b, cap=args.cap)
+        chunk = words.decode(spec, args.n, a, b)
         _emit(args, {"n": args.n, "range": [a, b], "letters": chunk},
               [chunk.decode("ascii")])
         return EXIT_OK
-    word = words.build_word(spec, args.n, cap=args.cap)
+    word = words.build_word(spec, args.n)
     _emit(args, {"n": args.n, "length": len(word), "letters": word.letters},
           [word.to_text()])
     return EXIT_OK
@@ -186,7 +186,9 @@ def _build_pair(args, spec) -> analysis.CandidatePair:
             letters = Path(rest).read_text().strip().encode("ascii")
         except (OSError, UnicodeError) as exc:
             raise RankOneError(f"cannot read the image file: {exc}") from None
-        x = analysis.word_window(spec, args.m)
+        if letters.translate(None, b"01"):
+            raise RankOneError("the image file may hold only the letters 0 and 1")
+        x = words.build_word(spec, args.m)
         return analysis.cut_pair(spec, args.n, x, letters, kappa=args.kappa)
     raise RankOneError(f"unknown image source {args.y!r}; "
                        "use shift:<l>, corrupt:<gap>:<len>, or file:<path>")
@@ -313,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--at", type=int, help="single letter index (lazy decode)")
     p.add_argument("--range", help="letter range a:b (lazy decode)")
-    p.add_argument("--cap", type=int, default=words.DEFAULT_CAP)
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("check", help="partial boundedness / rewriting reports")

@@ -23,8 +23,7 @@ from .params import (
     reversed_parameters,
     stage_table,
 )
-from .tower import NameWindow
-from .words import build_word, occurrences
+from .words import NameWindow, build_word, occurrences
 
 SpacerTuple = tuple[int, ...]
 
@@ -280,9 +279,7 @@ def check_non_isomorphism(
         if positions and specA.cycle_position(n) not in positions:
             continue
         q, t = group_stages(specA, n, 3)
-        q2, t2 = group_stages(specB, n, 3)
-        if q != q2 or len(t) != len(t2):
-            continue
+        _, t2 = group_stages(specB, n, 3)
         res = incompatible(t, t2)
         if not res.incompatible:
             continue

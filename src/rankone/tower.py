@@ -14,11 +14,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
 
+from . import words
 from .errors import CapExceededError, SpecError, UndefinedOrbitError
 from .params import ParameterSpec, StageTable, stage_table
-from .words import DEFAULT_CAP, decode
+from .words import NameWindow, decode
 
 DEFAULT_STAGE_BUDGET = 64
 OFFSET_DENOMINATOR_BITS = 53
@@ -134,31 +134,6 @@ def level_width(spec: ParameterSpec, n: int) -> Fraction:
     return width
 
 
-@dataclass(frozen=True)
-class NameWindow:
-    """A finite stretch of a 0/1 itinerary: letters[i - anchor] tells whether
-    the i-th image of the point lies in B_0."""
-
-    anchor: int
-    letters: bytes
-    provenance: Optional[str] = None
-
-    @property
-    def end(self) -> int:
-        return self.anchor + len(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def letter(self, i: int) -> int:
-        if not self.anchor <= i < self.end:
-            raise IndexError(f"index {i} outside window [{self.anchor}, {self.end})")
-        return self.letters[i - self.anchor] - 0x30
-
-    def to_text(self) -> str:
-        return self.letters.decode("ascii")
-
-
 def name_window(
     spec: ParameterSpec,
     p: TowerPoint,
@@ -232,10 +207,10 @@ def verify_injectivity(
     if trials < 0:
         raise SpecError(f"trials must be >= 0, got {trials}")
     window = 4 * stage_table(spec).view(m + 1).h
-    if window > DEFAULT_CAP:
+    if window > words.DEFAULT_CAP:
         raise CapExceededError(
             f"the name window for m={m} has {window} letters, more than the "
-            f"decode cap {DEFAULT_CAP}; use a smaller m"
+            f"decode cap {words.DEFAULT_CAP}; use a smaller m"
         )
     half = window // 2
     rng = Random(seed)

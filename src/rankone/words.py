@@ -14,36 +14,38 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import CapExceededError, SpecError
 from .params import ParameterSpec, StageView, stage_table
 
 DEFAULT_CAP = 1 << 26
 
-WordLike = Union[bytes, str, "RankOneWord"]
-
-
-def as_bytes(word: WordLike) -> bytes:
-    if isinstance(word, RankOneWord):
-        return word.letters
-    if isinstance(word, str):
-        return word.encode("ascii")
-    return word
-
 
 @dataclass(frozen=True)
-class RankOneWord:
-    """A materialized stage word with its stage index."""
+class NameWindow:
+    """A finite stretch of a 0/1 itinerary: letters[i - anchor] tells whether
+    the i-th image of the point lies in B_0.  ``provenance`` names the
+    source: ``word:n`` for the stage word w_n, the name of column n's base
+    point over [0, h_n); the point ``n:j:p/q`` for a window of its
+    itinerary; ``rewritten`` for a stable rewrite; None for letters given
+    from outside."""
 
-    stage: int
+    anchor: int
     letters: bytes
+    provenance: Optional[str] = None
+
+    @property
+    def end(self) -> int:
+        return self.anchor + len(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __getitem__(self, j: int) -> int:
-        return self.letters[j] - 0x30
+    def letter(self, i: int) -> int:
+        if not self.anchor <= i < self.end:
+            raise SpecError(f"index {i} outside window [{self.anchor}, {self.end})")
+        return self.letters[i - self.anchor] - 0x30
 
     def to_text(self) -> str:
         return self.letters.decode("ascii")
@@ -73,23 +75,24 @@ def _views(spec: ParameterSpec, n: int) -> list[StageView]:
     return stage_table(spec).views(0, n + 1)
 
 
-def decode(spec: ParameterSpec, n: int, a: int, b: int,
-           cap: int = DEFAULT_CAP) -> bytes:
+def decode(spec: ParameterSpec, n: int, a: int, b: int) -> bytes:
     """The letters w_n[a:b].
 
     Descends only into the copies of w_{n-1} and the 1-runs that meet
     [a, b); copies lying wholly inside the range are built bottom up by
     concatenation, each stage's word at most once per call.  Costs
-    O(n * r + b - a) time and O(b - a) memory.
+    O(n * r + b - a) time and O(b - a) memory.  More than DEFAULT_CAP
+    letters raise CapExceededError before any is built.
     """
     views = _views(spec, n)
     if a > b:
         raise SpecError(f"need a <= b, got [{a}, {b})")
     if a < 0 or b > views[n].h:
         raise SpecError(f"[{a}, {b}) leaves [0, {views[n].h}), the indices of w_{n}")
-    if b - a > cap:
+    if b - a > DEFAULT_CAP:
         raise CapExceededError(
-            f"{b - a} letters of w_{n} exceed the cap {cap}; decode a shorter range"
+            f"{b - a} letters of w_{n} exceed the cap {DEFAULT_CAP}; "
+            "decode a shorter range"
         )
     parts: list[bytes] = []
     built = {0: b"0"}
@@ -136,10 +139,11 @@ def _stage_word(views: list[StageView], m: int, built: dict[int, bytes]) -> byte
     return w
 
 
-def build_word(spec: ParameterSpec, n: int, cap: int = DEFAULT_CAP) -> RankOneWord:
-    """Materialize w_n by the literal recursive concatenation."""
+def build_word(spec: ParameterSpec, n: int) -> NameWindow:
+    """Materialize w_n by the literal recursive concatenation, as the name
+    window of column n's base point over [0, h_n)."""
     h = stage_table(spec).view(n).h
-    return RankOneWord(stage=n, letters=decode(spec, n, 0, h, cap=cap))
+    return NameWindow(0, decode(spec, n, 0, h), provenance=f"word:{n}")
 
 
 def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
@@ -166,16 +170,15 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
     return 0, WordAddress(stage=n, index=j, path=tuple(path), spacer=None)
 
 
-def occurrences(pattern: WordLike, text: WordLike) -> list[int]:
+def occurrences(pattern: bytes, text: bytes) -> list[int]:
     """All i with text[i : i+|pattern|] == pattern, overlapping included."""
-    p, t = as_bytes(pattern), as_bytes(text)
-    if not p:
+    if not pattern:
         raise SpecError("pattern must be nonempty")
     out = []
-    i = t.find(p)
+    i = text.find(pattern)
     while i != -1:
         out.append(i)
-        i = t.find(p, i + 1)
+        i = text.find(pattern, i + 1)
     return out
 
 
@@ -188,7 +191,7 @@ class BuildsResult:
         return self.builds
 
 
-def builds(u: WordLike, w: WordLike) -> BuildsResult:
+def builds(u: bytes, w: bytes) -> BuildsResult:
     """Whether w = u 1^{a_1} u ... 1^{a_r} u for nonnegative a_i.
 
     Both words must begin and end with 0.  The decomposition, when it
@@ -196,25 +199,24 @@ def builds(u: WordLike, w: WordLike) -> BuildsResult:
     stretches between copies are all 1s, so every copy start is forced to be
     the next 0 after the previous copy ends.
     """
-    ub, wb = as_bytes(u), as_bytes(w)
-    for name, word in (("u", ub), ("w", wb)):
+    for name, word in (("u", u), ("w", w)):
         if not word or word[:1] != b"0" or word[-1:] != b"0":
             raise SpecError(f"{name} must begin and end with 0")
-    if not wb.startswith(ub):
+    if not w.startswith(u):
         return BuildsResult(False, None)
     gaps = []
-    pos = len(ub)
-    while pos < len(wb):
-        nxt = wb.find(b"0", pos)
+    pos = len(u)
+    while pos < len(w):
+        nxt = w.find(b"0", pos)
         if nxt == -1:
             return BuildsResult(False, None)
-        if wb.count(b"1", pos, nxt) != nxt - pos:
+        if w.count(b"1", pos, nxt) != nxt - pos:
             return BuildsResult(False, None)
-        if wb[nxt:nxt + len(ub)] != ub:
+        if w[nxt:nxt + len(u)] != u:
             return BuildsResult(False, None)
         gaps.append(nxt - pos)
-        pos = nxt + len(ub)
-    if pos != len(wb):
+        pos = nxt + len(u)
+    if pos != len(w):
         return BuildsResult(False, None)
     return BuildsResult(True, tuple(gaps))
 

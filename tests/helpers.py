@@ -23,8 +23,8 @@ from rankone.params import (
     normalize,
     stage_views,
 )
-from rankone.tower import DEFAULT_STAGE_BUDGET, NameWindow
-from rankone.words import build_word
+from rankone.tower import DEFAULT_STAGE_BUDGET
+from rankone.words import NameWindow, build_word
 
 
 # ---------------------------------------------------------------------------

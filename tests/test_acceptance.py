@@ -78,7 +78,8 @@ def test_criterion_01_word_reproduction():
         assert build_word(chacon, 2).to_text() == "001011110010111110010"
 
 
-def test_criterion_02_height_identity():
+def test_criterion_02_height_identity(monkeypatch):
+    monkeypatch.setattr("rankone.words.DEFAULT_CAP", 10 ** 7)
     rng = Random(102)
     specs = [get_spec("chacon"), get_spec("hk")] + [
         random_normalized_spec(rng) for _ in range(100)
@@ -89,7 +90,7 @@ def test_criterion_02_height_identity():
             for n, h in enumerate(hs):
                 if h > 10 ** 7:
                     break
-                assert len(build_word(spec, n, cap=10 ** 7)) == h
+                assert len(build_word(spec, n)) == h
 
 
 def test_criterion_03_normalization():
@@ -286,7 +287,8 @@ def test_criterion_08_power_recovery():
                 assert report.density == Fraction(1)
 
 
-def test_criterion_09_tuple_calculus_suite():
+def test_criterion_09_tuple_calculus_suite(monkeypatch):
+    monkeypatch.setattr("rankone.words.DEFAULT_CAP", 1 << 22)
     rng = Random(109)
     with criterion(9, 120.0, "incompatibility, star, and the obstruction"):
         for _ in range(10_000):
@@ -344,7 +346,7 @@ def _obstruction_suite(rng, pairs):
         sigma = build_word(spec, n + 1).letters
         m = n + 1
         while True:
-            other_word = build_word(other, m, cap=1 << 22).letters
+            other_word = build_word(other, m).letters
             assert occurrences(sigma, other_word) == []
             if len(other_word) > 50_000:
                 break

@@ -19,13 +19,11 @@ from rankone.analysis import (
     propagate_goodness,
     select_kappa,
     shift_pair,
-    word_window,
 )
 from rankone.errors import AmbiguousContainmentError, SpecError
 from rankone.params import PartialBoundednessCertificate, certified, heights, parse_spec
 from rankone.registry import get_spec
-from rankone.tower import NameWindow
-from rankone.words import build_word, gap_instances
+from rankone.words import NameWindow, build_word, gap_instances
 
 from helpers import (
     oracle_gap_after,
@@ -45,7 +43,7 @@ def test_select_kappa():
 
 def test_pair_validation():
     chacon = get_spec("chacon")
-    w = word_window(chacon, 3)
+    w = build_word(chacon, 3)
     with pytest.raises(SpecError):
         CandidatePair(spec=chacon, x=w, y=NameWindow(1, w.letters), kappa=1, n=2)
     with pytest.raises(SpecError):
@@ -385,7 +383,7 @@ def test_density_on_shift_is_one():
 
 def test_density_all_ones_image_is_zero():
     chacon = get_spec("chacon")
-    x = word_window(chacon, 4)
+    x = build_word(chacon, 4)
     y = NameWindow(0, b"1" * len(x))
     pair = CandidatePair(spec=chacon, x=x, y=y, kappa=1, n=2)
     report = good_density(pair)

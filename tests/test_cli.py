@@ -11,6 +11,7 @@ from rankone import cli
 from rankone.cli import main
 from rankone.params import serialize_spec
 from rankone.registry import get_spec, names
+from rankone.words import build_word
 
 W2_CHACON = "001011110010111110010"
 
@@ -135,9 +136,6 @@ def test_analyze_corrupt_json(capsys):
 
 def test_analyze_image_from_file(capsys, tmp_path):
     # a shifted copy of the window written to disk classifies like shift:2
-    from rankone.registry import get_spec
-    from rankone.words import build_word
-
     word = build_word(get_spec("chacon"), 4).to_text()
     image = tmp_path / "image.txt"
     image.write_text(word[2:] + "11")
@@ -152,8 +150,6 @@ def test_short_image_file_keeps_the_word_provenance(tmp_path):
     import argparse
 
     from rankone.cli import _build_pair
-    from rankone.registry import get_spec
-    from rankone.words import build_word
 
     chacon = get_spec("chacon")
     word = build_word(chacon, 4).to_text()
@@ -278,12 +274,19 @@ def test_bad_config_reports_position(capsys, tmp_path):
 @pytest.fixture(scope="module")
 def spec_paths(tmp_path_factory):
     """Config paths that --spec may name: missing, a directory, a file that is
-    not UTF-8, one with a superscript digit, and one the test writes."""
+    not UTF-8, one with a superscript digit, and one the test writes; and
+    chacon's w_4 as an image file with one 1 turned into a 2 or a newline."""
     root = tmp_path_factory.mktemp("specs")
     (root / "binary.cfg").write_bytes(b"\xff\xfe\x00cycle")
     (root / "superscript.cfg").write_text("cycle: [r=2, s=(\u00b2)]\n")
-    return {name: str(root / f"{name}.cfg") for name in
-            ("missing", "binary", "superscript", "text")} | {"directory": str(root)}
+    paths = {name: str(root / f"{name}.cfg") for name in
+             ("missing", "binary", "superscript", "text")}
+    w4 = build_word(get_spec("chacon"), 4).to_text()
+    assert w4[52] == "1"  # altering this 1 drops the density below 8/9
+    for name, letter in (("two", "2"), ("newline", "\n")):
+        paths[name] = str(root / f"{name}.txt")
+        Path(paths[name]).write_text(w4[:52] + letter + w4[53:])
+    return paths | {"directory": str(root)}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -311,6 +314,10 @@ def spec_paths(tmp_path_factory):
     (["check", "--spec", "{superscript}"], 2),
     (["analyze", "--spec", "chacon", "--n", "0", "--m", "20", "--y",
       "corrupt:0:1"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "file:{two}"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "file:{newline}"], 2),
 ])
 def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     argv = [v.format(**spec_paths) for v in argv]

@@ -24,8 +24,7 @@ from rankone.params import (
     rule_at,
 )
 from rankone.registry import get_spec
-from rankone.tower import NameWindow
-from rankone.words import build_word, occurrences
+from rankone.words import NameWindow, build_word, occurrences
 
 from helpers import (
     oracle_compatible,
@@ -363,9 +362,10 @@ def _permuted_incompatible_pair(rng):
                 return spec, other, pos
 
 
-def test_incompatible_stage_blocks_occurrences():
+def test_incompatible_stage_blocks_occurrences(monkeypatch):
     # whenever the stage-n tuples are incompatible, the full stage-(n+1)
     # string of the first system never occurs in the second system's words
+    monkeypatch.setattr("rankone.words.DEFAULT_CAP", 1 << 22)
     rng = Random(56)
     for _ in range(3):
         specA, specB, pos = _permuted_incompatible_pair(rng)
@@ -376,7 +376,7 @@ def test_incompatible_stage_blocks_occurrences():
         sigma = build_word(specA, n + 1).letters
         m = n + 1
         while True:
-            wm = build_word(specB, m, cap=1 << 22).letters
+            wm = build_word(specB, m).letters
             assert occurrences(sigma, wm) == []
             if len(wm) > 50_000:
                 break

@@ -63,9 +63,24 @@ def test_word_length_equals_height():
             assert len(build_word(spec, n)) == hs[n]
 
 
-def test_build_word_cap():
+def test_build_word_cap(monkeypatch):
+    monkeypatch.setattr(words, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceededError):
-        build_word(get_spec("chacon"), 9, cap=1000)
+        build_word(get_spec("chacon"), 9)
+
+
+def test_build_word_is_the_stage_word_window():
+    word = build_word(get_spec("chacon"), 2)
+    assert (word.anchor, word.provenance) == (0, "word:2")
+    assert word.to_text() == W2_CHACON
+
+
+def test_window_letter_outside_raises_spec_error():
+    word = build_word(get_spec("chacon"), 1)
+    assert [word.letter(j) for j in range(4)] == [0, 0, 1, 0]
+    for j in (-1, 4):
+        with pytest.raises(SpecError, match=r"outside window \[0, 4\)"):
+            word.letter(j)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +99,17 @@ def test_decode_matches_oracle_word(seed, n, data):
     assert decode(spec, n, a, b) == word[a:b]
 
 
-def test_decode_rejects_bad_ranges():
+def test_decode_rejects_bad_ranges(monkeypatch):
     chacon = get_spec("chacon")
     h3 = heights(chacon, 3)[3]
     assert decode(chacon, 3, h3, h3) == b""
     for n, a, b in ((3, 5, 2), (3, 0, h3 + 1), (3, -1, 4), (-1, 0, 0)):
         with pytest.raises(SpecError):
             decode(chacon, n, a, b)
-    assert len(decode(chacon, 12, 10 ** 6, 10 ** 6 + 1000, cap=1000)) == 1000
+    monkeypatch.setattr(words, "DEFAULT_CAP", 1000)
+    assert len(decode(chacon, 12, 10 ** 6, 10 ** 6 + 1000)) == 1000
     with pytest.raises(CapExceededError):
-        decode(chacon, 12, 10 ** 6, 10 ** 6 + 1001, cap=1000)
+        decode(chacon, 12, 10 ** 6, 10 ** 6 + 1001)
 
 
 def test_build_word_requires_normalized():
@@ -119,7 +135,7 @@ def test_letter_at_matches_build_word():
         for n in range(4):
             word = build_word(spec, n)
             for j in range(len(word)):
-                assert letter_at(spec, n, j)[0] == word[j]
+                assert letter_at(spec, n, j)[0] == word.letter(j)
 
 
 def test_letter_at_deep_stage():
