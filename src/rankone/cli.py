@@ -48,26 +48,28 @@ def _load_normalized(ref: str) -> params.ParameterSpec:
     return spec if spec.normalized else params.normalize(spec)
 
 
-def _jsonable(obj):
+def _fraction(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _json_default(obj):
+    """JSON for the result types ``json`` does not know; anything else is a
+    defect in a subcommand's payload."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return asdict(obj)
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return _fraction(obj)
     if isinstance(obj, bytes):
         return obj.decode("ascii")
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(_jsonable(payload), indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _verdict(holds: bool | None) -> int:
+    """The exit code of a verdict: 0 when it holds, 1 when it is refuted,
+    3 when it is undecided."""
+    if holds is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK if holds else EXIT_NEGATIVE
 
 
 def _ints(text: str, count: int, form: str) -> tuple[int, ...]:
@@ -84,8 +86,10 @@ def _ints(text: str, count: int, form: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+Result = tuple[int, dict, list[str]]  # exit code, JSON payload, text lines
 
-def cmd_word(args) -> int:
+
+def cmd_word(args) -> Result:
     spec = _load_normalized(args.spec)
     if args.at is not None:
         letter, address = words.letter_at(spec, args.n, args.at)
@@ -93,21 +97,18 @@ def cmd_word(args) -> int:
             "n": args.n, "at": args.at, "letter": letter,
             "spacer": address.spacer, "path": list(address.path),
         }
-        _emit(args, payload, [str(letter)])
-        return EXIT_OK
+        return EXIT_OK, payload, [str(letter)]
     if args.range is not None:
         a, b = _ints(args.range, 2, "a:b")
         chunk = words.decode(spec, args.n, a, b)
-        _emit(args, {"n": args.n, "range": [a, b], "letters": chunk},
-              [chunk.decode("ascii")])
-        return EXIT_OK
+        return (EXIT_OK, {"n": args.n, "range": [a, b], "letters": chunk},
+                [chunk.decode("ascii")])
     word = words.build_word(spec, args.n)
-    _emit(args, {"n": args.n, "length": len(word), "letters": word.letters},
-          [word.to_text()])
-    return EXIT_OK
+    return (EXIT_OK, {"n": args.n, "length": len(word), "letters": word.letters},
+            [word.to_text()])
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     spec = _load_spec(args.spec)
     payload: dict = {"spec": spec.name or args.spec}
     lines = []
@@ -134,41 +135,39 @@ def cmd_check(args) -> int:
             f"partially bounded: certified R={c.R_frak} S={c.S_frak} "
             f"N={c.N} [{c.verified_mode}]"
         )
-        code = EXIT_OK
     elif result.status == "refuted":
         r = result.refutation
         lines.append(
             f"partially bounded: refuted at stage {r.stage} "
             f"(condition {r.condition}: {r.detail})"
         )
-        code = EXIT_NEGATIVE
     else:
         lines.append(f"partially bounded: unknown ({result.detail})")
-        code = EXIT_INCONCLUSIVE
-    _emit(args, payload, lines)
-    return code
+    holds = {"certified": True, "refuted": False}.get(result.status)
+    return _verdict(holds), payload, lines
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> Result:
     spec = _load_spec(args.spec)
-    point = tower.parse_point(args.point)
+    point = tower.canonicalize(spec, tower.parse_point(args.point))
+    bound = words.DEFAULT_CAP // 256  # the trace holds every point, ~300 B each
+    if abs(args.steps) > bound:
+        raise RankOneError(f"|steps| may be at most {bound}, got {args.steps}")
     step = tower.apply_T if args.steps >= 0 else tower.apply_T_inverse
-    trace = [tower.canonicalize(spec, point)]
+    points = [str(point)]
     for _ in range(abs(args.steps)):
-        trace.append(step(spec, trace[-1]))
-    payload = {"points": [str(p) for p in trace]}
-    _emit(args, payload, (str(p) for p in trace))
-    return EXIT_OK
+        point = step(spec, point)
+        points.append(str(point))
+    return EXIT_OK, {"points": points}, points
 
 
-def cmd_name(args) -> int:
+def cmd_name(args) -> Result:
     spec = _load_spec(args.spec)
     point = tower.parse_point(args.point)
     a, b = _ints(args.window, 2, "a:b")
     window = tower.name_window(spec, point, a, b)
     payload = {"anchor": window.anchor, "letters": window.letters}
-    _emit(args, payload, [f"anchor:{window.anchor} letters:{window.to_text()}"])
-    return EXIT_OK
+    return EXIT_OK, payload, [f"anchor:{window.anchor} letters:{window.to_text()}"]
 
 
 def _build_pair(args, spec) -> analysis.CandidatePair:
@@ -194,7 +193,7 @@ def _build_pair(args, spec) -> analysis.CandidatePair:
                        "use shift:<l>, corrupt:<gap>:<len>, or file:<path>")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Result:
     spec = _load_normalized(args.spec)
     pair = _build_pair(args, spec)
     cls = analysis.classify(pair)
@@ -203,14 +202,8 @@ def cmd_analyze(args) -> int:
     for rec in cls.records:
         rho = rec.rho if rec.rho is not None else "-"
         lines.append(f"i={rec.index} verdict={rec.verdict} rho={rho}")
-    if density.density is None:
-        lines.append("density=- threshold="
-                     f"{density.threshold.numerator}/{density.threshold.denominator}")
-    else:
-        lines.append(
-            f"density={density.density.numerator}/{density.density.denominator}"
-            f" threshold={density.threshold.numerator}/{density.threshold.denominator}"
-        )
+    ratio = "-" if density.density is None else _fraction(density.density)
+    lines.append(f"density={ratio} threshold={_fraction(density.threshold)}")
     payload = {
         "occurrences": list(cls.x_occurrences),
         "records": cls.records,
@@ -225,13 +218,10 @@ def cmd_analyze(args) -> int:
             lines.append(
                 f"dichotomy violations at {list(report.dichotomy_violations)}"
             )
-    _emit(args, payload, lines)
-    if density.meets_threshold is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if density.meets_threshold else EXIT_NEGATIVE
+    return _verdict(density.meets_threshold), payload, lines
 
 
-def cmd_inverse(args) -> int:
+def cmd_inverse(args) -> Result:
     spec = _load_normalized(args.spec)
     if args.against is not None:
         other = _load_normalized(args.against)
@@ -248,11 +238,8 @@ def cmd_inverse(args) -> int:
             lines.append(f"witness stage={w.stage} q={w.q}")
             lines.append(f"  t ={list(w.t)}")
             lines.append(f"  t'={list(w.t_prime)}")
-        _emit(args, payload, lines)
-        if report.criteria_met:
-            return EXIT_OK
-        return (EXIT_NEGATIVE if report.status == "condition1_fails"
-                else EXIT_INCONCLUSIVE)
+        holds = {"criteria_met": True, "condition1_fails": False}.get(report.status)
+        return _verdict(holds), payload, lines
     verdict = inverseiso.decide_inverse_isomorphic(spec)
     payload = {
         "inverse_isomorphic": verdict.isomorphic_to_inverse,
@@ -264,19 +251,15 @@ def cmd_inverse(args) -> int:
              f"N={verdict.N if verdict.N is not None else '-'}"]
     if verdict.detail:
         lines.append(verdict.detail)
-    _emit(args, payload, lines)
-    return EXIT_OK if verdict.isomorphic_to_inverse else EXIT_NEGATIVE
+    return _verdict(verdict.isomorphic_to_inverse), payload, lines
 
 
-def cmd_normalize(args) -> int:
-    spec = _load_spec(args.spec)
-    normalized = params.normalize(spec)
-    text = params.serialize_spec(normalized)
-    _emit(args, {"config": text}, [text.rstrip("\n")])
-    return EXIT_OK
+def cmd_normalize(args) -> Result:
+    text = params.serialize_spec(params.normalize(_load_spec(args.spec)))
+    return EXIT_OK, {"config": text}, [text.rstrip("\n")]
 
 
-def cmd_injectivity(args) -> int:
+def cmd_injectivity(args) -> Result:
     spec = _load_normalized(args.spec)
     report = tower.verify_injectivity(
         spec, trials=args.trials, m=args.m, seed=args.seed
@@ -291,10 +274,8 @@ def cmd_injectivity(args) -> int:
             f"inconclusive: {report.trials} of {args.trials} trials done; "
             f"{tower.SAME_LEVEL_RETRIES} draws in a row put both points in one level"
         )
-    _emit(args, {"report": report}, lines)
-    if not report.ok:
-        return EXIT_NEGATIVE
-    return EXIT_OK if complete else EXIT_INCONCLUSIVE
+    holds = (complete or None) if report.ok else False
+    return _verdict(holds), {"report": report}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -310,65 +291,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("word", help="print or probe a stage word")
-    p.add_argument("--spec", required=True)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--spec", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("word", cmd_word, "print or probe a stage word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--at", type=int, help="single letter index (lazy decode)")
     p.add_argument("--range", help="letter range a:b (lazy decode)")
-    p.set_defaults(func=cmd_word)
 
-    p = sub.add_parser("check", help="partial boundedness / rewriting reports")
-    p.add_argument("--spec", required=True)
+    p = command("check", cmd_check, "partial boundedness / rewriting reports")
     p.add_argument("--to", type=int, help="numeric verification up to stage M")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("orbit", help="trace the orbit of a point")
-    p.add_argument("--spec", required=True)
+    p = command("orbit", cmd_orbit, "trace the orbit of a point")
     p.add_argument("--point", required=True, help="n:j:p/q")
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("name", help="itinerary window of a point")
-    p.add_argument("--spec", required=True)
+    p = command("name", cmd_name, "itinerary window of a point")
     p.add_argument("--point", required=True, help="n:j:p/q")
     p.add_argument("--window", required=True, help="a:b")
-    p.set_defaults(func=cmd_name)
 
-    p = sub.add_parser("analyze", help="classify occurrences against an image")
-    p.add_argument("--spec", required=True)
+    p = command("analyze", cmd_analyze, "classify occurrences against an image")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="window word stage")
     p.add_argument("--kappa", type=int)
     p.add_argument("--y", required=True,
                    help="shift:<l> | corrupt:<gap>:<len> | file:<path>")
     p.add_argument("--totally", type=int, help="also classify w_m blocks")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("inverse", help="inverse-isomorphism verdicts")
-    p.add_argument("--spec", required=True)
+    p = command("inverse", cmd_inverse, "inverse-isomorphism verdicts")
     p.add_argument("--against", help="second spec for the non-isomorphism criteria")
     p.add_argument("--horizon", type=int,
                    default=inverseiso.GROUPING_HORIZON_PERIODS)
-    p.set_defaults(func=cmd_inverse)
 
-    p = sub.add_parser("normalize", help="print the normalized presentation")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_normalize)
+    command("normalize", cmd_normalize, "print the normalized presentation")
 
-    p = sub.add_parser("injectivity", help="sampled name-separation probe")
-    p.add_argument("--spec", required=True)
+    p = command("injectivity", cmd_injectivity, "sampled name-separation probe")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--m", type=int, default=3)
-    p.set_defaults(func=cmd_injectivity)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, default=_json_default))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except RankOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

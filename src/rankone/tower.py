@@ -83,39 +83,33 @@ def refine(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     return TowerPoint(p.stage + 1, new_level, p.offset * view.r - k)
 
 
-def _fit(
-    spec: ParameterSpec, p: TowerPoint, a: int, b: int, stage_budget: int,
-    what: str,
-) -> TowerPoint:
+def _fit(spec: ParameterSpec, p: TowerPoint, a: int, b: int, what: str) -> TowerPoint:
     """The canonical point, refined until [level + a, level + b) lies inside
     its column, where the images T^a p .. T^(b-1) p climb that column's
     levels.  Raises UndefinedOrbitError, whose message calls the stretch
-    ``what``, when that takes more than stage_budget refinements."""
+    ``what``, when that takes more than DEFAULT_STAGE_BUDGET refinements."""
+    budget = DEFAULT_STAGE_BUDGET
     table = stage_table(spec)
     q = canonicalize(spec, p)
-    for _ in range(stage_budget + 1):
+    for _ in range(budget + 1):
         if q.level + a >= 0 and q.level + b <= table.view(q.stage).h:
             return q
         q = refine(spec, q)
-    raise UndefinedOrbitError(f"{what} undefined within {stage_budget} refinements")
+    raise UndefinedOrbitError(f"{what} undefined within {budget} refinements")
 
 
-def apply_T(
-    spec: ParameterSpec, p: TowerPoint, stage_budget: int = DEFAULT_STAGE_BUDGET
-) -> TowerPoint:
+def apply_T(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     """One step up the tower; refines past column tops.  Raises
     UndefinedOrbitError when the point sits on the forward orbit of the top
     edge (refinement never leaves the top level within the budget)."""
-    q = _fit(spec, p, 1, 2, stage_budget, "forward orbit")
+    q = _fit(spec, p, 1, 2, "forward orbit")
     return canonicalize(spec, TowerPoint(q.stage, q.level + 1, q.offset))
 
 
-def apply_T_inverse(
-    spec: ParameterSpec, p: TowerPoint, stage_budget: int = DEFAULT_STAGE_BUDGET
-) -> TowerPoint:
+def apply_T_inverse(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     """Exact inverse of apply_T; the symmetric failure is the backward orbit
     of the base's bottom edge."""
-    q = _fit(spec, p, -1, 0, stage_budget, "backward orbit")
+    q = _fit(spec, p, -1, 0, "backward orbit")
     return canonicalize(spec, TowerPoint(q.stage, q.level - 1, q.offset))
 
 
@@ -127,20 +121,15 @@ def in_base0(spec: ParameterSpec, p: TowerPoint) -> bool:
 
 def level_width(spec: ParameterSpec, n: int) -> Fraction:
     """Width of a stage-n level as a fraction of the base interval: each cut
-    divides the levels by that stage's r."""
+    divides the levels by that stage's r.  The r's are read from the stage
+    table, which raises SpecError past MAX_STAGE."""
     width = Fraction(1)
-    for k in range(n):
-        width /= spec.rule_schedule(k).r
+    for view in stage_table(spec).views(0, n):
+        width /= view.r
     return width
 
 
-def name_window(
-    spec: ParameterSpec,
-    p: TowerPoint,
-    a: int,
-    b: int,
-    stage_budget: int = DEFAULT_STAGE_BUDGET,
-) -> NameWindow:
+def name_window(spec: ParameterSpec, p: TowerPoint, a: int, b: int) -> NameWindow:
     """Letters of the point's itinerary on indices [a, b): refine the point
     until [level + a, level + b) fits inside one column, where the images
     T^i p climb that column's levels, then decode that stretch of the
@@ -151,7 +140,7 @@ def name_window(
         raise SpecError(f"need a <= b, got [{a}, {b})")
     if a == b:
         return NameWindow(a, b"", provenance=str(p))
-    q = _fit(spec, p, a, b, stage_budget, f"window [{a}, {b}) of the orbit")
+    q = _fit(spec, p, a, b, f"window [{a}, {b}) of the orbit")
     letters = decode(spec, q.stage, q.level + a, q.level + b)
     return NameWindow(a, letters, provenance=str(p))
 

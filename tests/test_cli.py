@@ -318,6 +318,8 @@ def spec_paths(tmp_path_factory):
       "file:{two}"], 2),
     (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
       "file:{newline}"], 2),
+    (["orbit", "--spec", "chacon", "--point", "0:0:1/2", "--steps",
+      "1000000000"], 2),
 ])
 def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     argv = [v.format(**spec_paths) for v in argv]
@@ -332,6 +334,26 @@ def test_uncaught_exception_exits_internal(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+
+def test_unencodable_payload_exits_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_word", lambda args: (0, {"x": object()}, []))
+    code, out, err = run(capsys, "--format", "json", "word", "--spec", "chacon",
+                         "--n", "1")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: TypeError: object is not JSON serializable\n"
+
+
+def test_orbit_steps_bound_reads_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr("rankone.words.DEFAULT_CAP", 3 * 256)
+    argv = ["orbit", "--spec", "chacon", "--point", "1:1:0/1"]
+    code, out, _ = run(capsys, *argv, "--steps=3")
+    assert code == 0 and len(out.splitlines()) == 4
+    for steps in ("4", "-4"):
+        code, out, err = run(capsys, *argv, f"--steps={steps}")
+        assert code == 2 and out == ""
+        assert err == f"error: |steps| may be at most 3, got {steps}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,10 @@ def test_incompatible_symmetric_and_matches_oracle(s, s2):
     forward = incompatible(s, s2)
     backward = incompatible(s2, s)
     assert forward.incompatible == backward.incompatible
-    assert forward.incompatible == (not oracle_compatible(s, s2)[0])
-    assert backward.incompatible == (not oracle_compatible(s2, s)[0])
+    for result, (a, b) in ((forward, (s, s2)), (backward, (s2, s))):
+        compatible, offset, forced = oracle_compatible(a, b)
+        assert (result.incompatible, result.offset, result.c) == \
+            (not compatible, offset, forced)
 
 
 def test_compatibility_witness_is_genuine():
@@ -300,6 +302,31 @@ def test_preperiod_with_unequal_growth_is_decided():
     report = check_non_isomorphism(spec, reversed_parameters(spec))
     assert report.status == "criteria_met"
     assert report.cross_bound == 2 and report.witness.stage == 1
+
+
+def test_commensurability_not_symbolically_decidable():
+    # the second spec's spacer reads 1h+1A against the first's 2h: A tracks
+    # h, so the spacers agree at every stage, but not as expressions
+    spec_a = parse_spec("preperiod: [r=2, s=(0)]; cycle: [r=2, s=(2h)]")
+    spec_b = parse_spec("preperiod: [r=2, s=(0), acc=2]; "
+                        "cycle: [r=2, s=(1h+1A), acc=3h]")
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert not report.criteria_met and report.status == "not_established"
+    assert report.commensurable is None
+    assert report.detail == \
+        "commensurability not symbolically decidable for these rules"
+
+
+def test_incompatible_grouping_without_symbolic_argument():
+    # the second spec swaps two constant spacers: an incompatible grouping
+    # exists, but it is not the reversal of the first spec
+    spec_a = normalize(parse_spec("cycle: [r=4, s=(0, 1, 2), last=4h+3]"))
+    spec_b = normalize(parse_spec("cycle: [r=4, s=(1, 0, 2), last=4h+3]"))
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert not report.criteria_met and report.status == "not_established"
+    assert report.commensurable is True and report.witness.stage == 1
+    assert report.detail.startswith("incompatible grouping found but no "
+                                    "symbolic argument")
 
 
 def test_non_isomorphism_rejects_empty_horizon():

@@ -72,7 +72,7 @@ def test_round_trip_identity():
 
 
 @pytest.mark.parametrize("name", ["chacon", "hk"])
-def test_forward_orbit_budget(name):
+def test_forward_orbit_budget(name, monkeypatch):
     spec = get_spec(name)
     r = spec.cycle[0].r
     # offset 1 - r^-k keeps the base point in the rightmost subcolumn, on a
@@ -90,11 +90,16 @@ def test_forward_orbit_budget(name):
     far = TowerPoint(0, 0, 1 - F(1, r ** 70))
     with pytest.raises(UndefinedOrbitError):
         apply_T(spec, far)
-    assert apply_T(spec, far, stage_budget=80).level > 0
     with pytest.raises(UndefinedOrbitError):
         name_window(spec, far, 0, 5)
-    assert name_window(spec, far, 0, 5, stage_budget=80).letters == \
+    # every refine-until-fits loop reads the budget when it runs
+    monkeypatch.setattr("rankone.tower.DEFAULT_STAGE_BUDGET", 80)
+    assert apply_T(spec, far).level > 0
+    assert name_window(spec, far, 0, 5).letters == \
         walk_name(spec, far, 0, 5, budget=80)
+    with pytest.raises(UndefinedOrbitError,
+                       match="^backward orbit undefined within 80 refinements$"):
+        apply_T_inverse(spec, TowerPoint(0, 0, F(1, r ** 81)))
 
 
 @pytest.mark.parametrize("name", ["chacon", "hk"])
@@ -177,6 +182,8 @@ def test_level_width_bookkeeping():
     chacon = get_spec("chacon")
     assert level_width(chacon, 0) == 1
     assert level_width(chacon, 3) == F(1, 27)
+    with pytest.raises(SpecError, match="exceeds MAX_STAGE"):
+        level_width(chacon, 20_000)
     # stepping up the tower keeps the point in levels of the same stage, so
     # the width accounting is exact by construction; refinement splits a
     # level into r equal parts and the offset arithmetic inverts exactly
