@@ -14,7 +14,9 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, inverseiso, params, registry, tower, words
+# Each subcommand imports the modules it reads, so a call pays at start-up
+# only for its own: ``check`` and ``normalize`` load no module but these.
+from . import params, registry
 from .errors import RankOneError
 
 EXIT_OK = 0
@@ -90,6 +92,7 @@ Result = tuple[int, dict, list[str]]  # exit code, JSON payload, text lines
 
 
 def cmd_word(args) -> Result:
+    from . import words
     spec = _load_normalized(args.spec)
     if args.at is not None:
         letter, address = words.letter_at(spec, args.n, args.at)
@@ -148,6 +151,7 @@ def cmd_check(args) -> Result:
 
 
 def cmd_orbit(args) -> Result:
+    from . import tower, words
     spec = _load_spec(args.spec)
     point = tower.canonicalize(spec, tower.parse_point(args.point))
     bound = words.DEFAULT_CAP // 256  # the trace holds every point, ~300 B each
@@ -162,6 +166,7 @@ def cmd_orbit(args) -> Result:
 
 
 def cmd_name(args) -> Result:
+    from . import tower
     spec = _load_spec(args.spec)
     point = tower.parse_point(args.point)
     a, b = _ints(args.window, 2, "a:b")
@@ -171,6 +176,7 @@ def cmd_name(args) -> Result:
 
 
 def _build_pair(args, spec) -> analysis.CandidatePair:
+    from . import analysis, words
     kind, _, rest = args.y.partition(":")
     if kind == "shift":
         (ell,) = _ints(rest, 1, "shift:<l>")
@@ -194,6 +200,7 @@ def _build_pair(args, spec) -> analysis.CandidatePair:
 
 
 def cmd_analyze(args) -> Result:
+    from . import analysis
     spec = _load_normalized(args.spec)
     pair = _build_pair(args, spec)
     cls = analysis.classify(pair)
@@ -222,11 +229,16 @@ def cmd_analyze(args) -> Result:
 
 
 def cmd_inverse(args) -> Result:
+    from . import inverseiso
+    if args.against is None and args.horizon is not None:
+        raise RankOneError("--horizon applies only with --against")
     spec = _load_normalized(args.spec)
     if args.against is not None:
         other = _load_normalized(args.against)
+        horizon = (inverseiso.GROUPING_HORIZON_PERIODS if args.horizon is None
+                   else args.horizon)
         report = inverseiso.check_non_isomorphism(
-            spec, other, horizon_periods=args.horizon
+            spec, other, horizon_periods=horizon
         )
         payload = {
             "criteria_met": report.criteria_met, "status": report.status,
@@ -260,6 +272,7 @@ def cmd_normalize(args) -> Result:
 
 
 def cmd_injectivity(args) -> Result:
+    from . import tower
     spec = _load_normalized(args.spec)
     report = tower.verify_injectivity(
         spec, trials=args.trials, m=args.m, seed=args.seed
@@ -299,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("word", cmd_word, "print or probe a stage word")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--at", type=int, help="single letter index (lazy decode)")
-    p.add_argument("--range", help="letter range a:b (lazy decode)")
+    probe = p.add_mutually_exclusive_group()
+    probe.add_argument("--at", type=int, help="single letter index (lazy decode)")
+    probe.add_argument("--range", help="letter range a:b (lazy decode)")
 
     p = command("check", cmd_check, "partial boundedness / rewriting reports")
     p.add_argument("--to", type=int, help="numeric verification up to stage M")
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("inverse", cmd_inverse, "inverse-isomorphism verdicts")
     p.add_argument("--against", help="second spec for the non-isomorphism criteria")
     p.add_argument("--horizon", type=int,
-                   default=inverseiso.GROUPING_HORIZON_PERIODS)
+                   help="grouping horizon in periods (with --against)")
 
     command("normalize", cmd_normalize, "print the normalized presentation")
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from rankone import cli
 from rankone.cli import main
+from rankone.errors import RankOneError
+from rankone.inverseiso import GROUPING_HORIZON_PERIODS
 from rankone.params import serialize_spec
 from rankone.registry import get_spec, names
 from rankone.words import build_word
@@ -17,7 +19,10 @@ W2_CHACON = "001011110010111110010"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -309,6 +314,8 @@ def spec_paths(tmp_path_factory):
       "--horizon", "0"], 2),
     (["inverse", "--spec", "chacon", "--against", "chacon-reversed",
       "--horizon", "-1"], 2),
+    (["inverse", "--spec", "chacon", "--horizon", "3"], 2),
+    (["word", "--spec", "chacon", "--n", "3", "--at", "5", "--range", "0:3"], 2),
     (["check", "--spec", "{directory}"], 2),
     (["check", "--spec", "{binary}"], 2),
     (["check", "--spec", "{superscript}"], 2),
@@ -326,6 +333,20 @@ def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     got, _, err = run(capsys, *argv)
     assert got == code
     assert "Traceback" not in err
+
+
+def test_inverse_horizon_defaults_to_the_grouping_horizon(capsys, monkeypatch):
+    horizons = []
+
+    def record(spec, other, horizon_periods):
+        horizons.append(horizon_periods)
+        raise RankOneError("recorded")
+
+    monkeypatch.setattr("rankone.inverseiso.check_non_isomorphism", record)
+    argv = ["inverse", "--spec", "chacon", "--against", "chacon-reversed"]
+    run(capsys, *argv)
+    run(capsys, *argv, "--horizon", "3")
+    assert horizons == [GROUPING_HORIZON_PERIODS, 3]
 
 
 def test_uncaught_exception_exits_internal(capsys, monkeypatch):

@@ -1,47 +1,128 @@
-"""The names the benchmark's job runners and the package itself import
-from rankone must all exist: a missing one fails every benchmark job, or
-``import rankone`` itself.  The files are read with ``ast``, not run."""
+"""The names the benchmark's job runners import from rankone must all
+exist, or every benchmark job fails; the package's public names must all
+resolve to their modules' objects; and a CLI call must import only the
+modules its subcommand reads, or every call pays for all of them at
+start-up.  The job runners are read with ``ast``, not run."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import rankone
 
 JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+SRC = str(Path(rankone.__file__).resolve().parent.parent)
+
+# The public names of ``rankone``, by defining module: no name may go.
+EXPORTS = {
+    "analysis": {"CandidatePair", "check_ab_law", "classify",
+                 "classify_totally", "good_density", "propagate_goodness",
+                 "select_kappa"},
+    "errors": {"AmbiguousContainmentError", "CapExceededError",
+               "NormalizationError", "NotCertifiedError", "ParseError",
+               "RankOneError", "SpecError", "UndefinedOrbitError"},
+    "inverseiso": {"check_non_isomorphism", "decide_inverse_isomorphic",
+                   "group_stages", "incompatible", "reverse",
+                   "stable_rewrite", "star"},
+    "params": {"ParameterSpec", "PartialBoundednessCertificate", "SpacerExpr",
+               "StageRule", "certified", "check_rewriting_criterion",
+               "check_partially_bounded", "heights", "normalize",
+               "parse_spec", "reversed_parameters", "rule_at",
+               "serialize_spec"},
+    "registry": {"get_spec"},
+    "tower": {"TowerPoint", "apply_T", "apply_T_inverse", "canonicalize",
+              "in_base0", "level_width", "name_window", "refine",
+              "sample_point", "verify_injectivity"},
+    "words": {"NameWindow", "build_word", "builds", "decode",
+              "expected_occurrences", "letter_at", "occurrences"},
+}
+PUBLIC = set(EXPORTS).union(*EXPORTS.values())
 
 
-def _from_imports(path: Path, package: str) -> list[tuple[str, str]]:
+def _from_imports(path: Path) -> list[tuple[str, str]]:
     """(module, name) for each ``from <module> import <name>`` in the file
-    whose module is rankone or one of its submodules, relative imports
-    resolved against ``package``."""
+    whose module is rankone or one of its submodules."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.ImportFrom):
             continue
-        if node.level:
-            module = ".".join([package] + ([node.module] if node.module else []))
-        else:
-            module = node.module or ""
+        module = node.module or ""
         if module == "rankone" or module.startswith("rankone."):
             found += [(module, alias.name) for alias in node.names]
     return found
 
 
-def _unresolved(imports):
-    return [(module, name) for module, name in imports
-            if not hasattr(importlib.import_module(module), name)]
+def _fresh(code: str, *argv: str):
+    """What ``code`` prints as JSON, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
 
 
 def test_benchmark_jobs_import_existing_names():
-    imports = _from_imports(JOBS, "")
+    imports = _from_imports(JOBS)
     modules = {module for module, _ in imports}
     assert {"rankone", "rankone.tower", "rankone.words",
             "rankone.registry"} <= modules
-    assert _unresolved(imports) == []
+    assert [(module, name) for module, name in imports
+            if not hasattr(importlib.import_module(module), name)] == []
 
 
 def test_package_init_imports_existing_names():
-    imports = _from_imports(Path(rankone.__file__), "rankone")
-    assert len(imports) > 50
-    assert _unresolved(imports) == []
+    assert len(PUBLIC) == 60
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"rankone.{module}")
+        assert getattr(rankone, module) is sub
+        for name in names:
+            namespace = {}
+            exec(f"from rankone import {name}", namespace)
+            assert namespace[name] is getattr(rankone, name) is getattr(sub, name)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        rankone.nonexistent
+    # In a new interpreter, before any name is resolved:
+    listed, starred = _fresh(
+        "import json, rankone\n"
+        "listed = [n for n in dir(rankone) if not n.startswith('_')]\n"
+        "namespace = {}\n"
+        "exec('from rankone import *', namespace)\n"
+        "print(json.dumps([listed, [n for n in namespace if n[0] != '_']]))"
+    )
+    assert set(listed) == set(starred) == PUBLIC
+
+
+LOADED = ("import contextlib, io, json, sys\n"
+          "from rankone import cli\n"
+          "with contextlib.redirect_stdout(io.StringIO()):\n"
+          "    cli.main(sys.argv[1:])\n"
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m.startswith('rankone.'))))")
+BASE = {"errors", "params", "registry"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("word --spec chacon --n 2", {"words"}),
+    ("check --spec chacon-raw", set()),
+    ("normalize --spec hk-raw", set()),
+    ("orbit --spec chacon --point 1:1:0/1 --steps 2", {"tower", "words"}),
+    ("name --spec chacon --point 2:0:1/5 --window 0:21", {"tower", "words"}),
+    ("injectivity --spec chacon --trials 10", {"tower", "words"}),
+    ("analyze --spec chacon --n 2 --m 4 --y shift:3", {"analysis", "words"}),
+    ("inverse --spec hk", {"inverseiso", "words"}),
+])
+def test_cli_call_imports_only_its_subcommand_modules(argv, extra):
+    loaded = _fresh(LOADED, *argv.split())
+    assert set(loaded) == {f"rankone.{m}" for m in BASE | extra | {"cli"}}
+
+
+def test_bare_import_loads_no_submodule():
+    assert _fresh("import json, sys, rankone\n"
+                  "print(json.dumps([m for m in sys.modules\n"
+                  "                  if m.startswith('rankone')]))") == ["rankone"]
