@@ -283,7 +283,7 @@ def propagate_goodness(
             )
     x, y = pair.x.letters, pair.y.letters
     overlap = len(x) - ell
-    if y[:overlap] != x[ell:]:
+    if not y.startswith(memoryview(x)[ell:]):
         for j in range(overlap):
             if y[j] != x[ell + j]:
                 return PropagationResult(

@@ -8,14 +8,13 @@ rankone, never a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 from pathlib import Path
 
 # Each subcommand imports the modules it reads, so a call pays at start-up
 # only for its own: ``check`` and ``normalize`` load no module but these.
+# ``json`` and ``fractions`` are imported only where they are used.
 from . import params, registry
 from .errors import RankOneError
 
@@ -50,13 +49,16 @@ def _load_normalized(ref: str) -> params.ParameterSpec:
     return spec if spec.normalized else params.normalize(spec)
 
 
-def _fraction(x: Fraction) -> str:
+def _fraction(x) -> str:
+    """A Fraction as p/q."""
     return f"{x.numerator}/{x.denominator}"
 
 
 def _json_default(obj):
     """JSON for the result types ``json`` does not know; anything else is a
     defect in a subcommand's payload."""
+    from fractions import Fraction
+
     if is_dataclass(obj) and not isinstance(obj, type):
         return asdict(obj)
     if isinstance(obj, Fraction):
@@ -354,6 +356,8 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.format == "json":
+            import json
+
             print(json.dumps(payload, indent=2, default=_json_default))
         else:
             for line in lines:

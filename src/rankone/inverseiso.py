@@ -327,10 +327,18 @@ def stable_rewrite(spec: ParameterSpec, window: NameWindow, N: int) -> RewriteRe
     if len(v) != len(v_prime):
         raise SpecError("reversal changed the word length; spec is inconsistent")
     letters = window.letters
-    out = bytearray(letters)
     positions = occurrences(v, letters)
+    text, vp = memoryview(letters), memoryview(v_prime)
+    parts: list = []
+    end = 0
     for p in positions:
-        out[p:p + len(v)] = v_prime
+        if p < end:  # overlaps the previous copy: cut that one where this starts
+            parts[-1] = vp[:len(v) - (end - p)]
+        else:
+            parts.append(text[end:p])
+        parts.append(vp)
+        end = p + len(v)
+    parts.append(text[end:])
     first = positions[0] if positions else len(letters)
     last_end = positions[-1] + len(v) if positions else 0
     partial_left = any(
@@ -344,7 +352,7 @@ def stable_rewrite(spec: ParameterSpec, window: NameWindow, N: int) -> RewriteRe
         if len(letters) - d >= last_end
     )
     return RewriteResult(
-        window=NameWindow(window.anchor, bytes(out), provenance="rewritten"),
+        window=NameWindow(window.anchor, b"".join(parts), provenance="rewritten"),
         replacements=len(positions),
         partial_left=partial_left,
         partial_right=partial_right,

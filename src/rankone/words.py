@@ -2,7 +2,9 @@
 combinatorics.
 
 Words live over the alphabet {0, 1} and are stored as ASCII ``b"0"``/``b"1"``
-bytes so that substring scans run at C speed.  Stage words obey
+bytes, so that substring scans run in C: ``occurrences`` searches for a
+pattern's first letters with a compiled literal search and confirms the rest
+by comparison, within a budget linear in the text.  Stage words obey
 
     w_0 = "0",   w_{n+1} = w_n 1^{s_n(0)} w_n 1^{s_n(1)} ... 1^{s_n(r_n-2)} w_n
 
@@ -12,6 +14,7 @@ that starts the indices at 1 is read as this 0-based form).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -20,6 +23,7 @@ from .errors import CapExceededError, SpecError
 from .params import ParameterSpec, StageView, stage_table
 
 DEFAULT_CAP = 1 << 26
+_ANCHOR = 256  # letters of a pattern that occurrences() searches for
 
 
 @dataclass(frozen=True)
@@ -171,11 +175,46 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
 
 
 def occurrences(pattern: bytes, text: bytes) -> list[int]:
-    """All i with text[i : i+|pattern|] == pattern, overlapping included."""
+    """All i with text[i : i+|pattern|] == pattern, overlapping included.
+
+    Candidates are the starts of the pattern's first _ANCHOR letters, found
+    by a compiled literal search (``re`` caches the compiled anchor); each
+    is confirmed by comparing the rest of the pattern in doubling chunks,
+    so a miss costs about its common prefix with the pattern.  The anchor
+    and every chunk compared are charged to a budget of twice the text's
+    length; once it is spent, as on periodic inputs, the scan finishes with
+    ``bytes.find``, so the whole scan stays linear in the text when the
+    hits do not overlap.
+    """
     if not pattern:
         raise SpecError("pattern must be nonempty")
+    m = len(pattern)
+    anchor = pattern[:_ANCHOR]
+    a = len(anchor)
+    search = re.compile(re.escape(anchor)).search
+    endpos = len(text) - m + a  # an anchor ending later leaves no room for the rest
+    pattern_view = memoryview(pattern)
+    budget = 2 * len(text) if m > 1 else 0  # find scans one letter by memchr
     out = []
-    i = text.find(pattern)
+    pos = 0
+    while budget > 0:
+        hit = search(text, pos, endpos)
+        if hit is None:
+            return out
+        i = hit.start()
+        budget -= a
+        off = size = a
+        while off < m:
+            chunk = pattern_view[off:off + size]
+            budget -= len(chunk)
+            if not text.startswith(chunk, i + off):
+                break
+            off += size
+            size *= 2
+        else:
+            out.append(i)
+        pos = i + 1
+    i = text.find(pattern, pos)
     while i != -1:
         out.append(i)
         i = text.find(pattern, i + 1)

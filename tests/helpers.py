@@ -2,10 +2,11 @@
 brute-force oracles.
 
 The oracles deliberately avoid the library's scan/bookkeeping code paths:
-occurrence scans use per-index prefix comparison instead of find loops, gap
-reads walk the letters run by run, the compatibility oracle rebuilds the
-padded tuple for every offset, and names are walked one image at a time
-over stage words built here.
+occurrence scans use per-index prefix comparison, or the plain ``find``
+loop that the library's anchored scan replaced; gap reads walk the letters
+run by run; a stable rewrite overwrites each copy in turn; the
+compatibility oracle rebuilds the padded tuple for every offset; and names
+are walked one image at a time over stage words built here.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def oracle_occurrences(pattern: bytes, text: bytes) -> list[int]:
         i for i in range(len(text) - len(pattern) + 1)
         if text.startswith(pattern, i)
     ]
+
+
+def find_occurrences(pattern: bytes, text: bytes) -> list[int]:
+    """Every start of pattern in text by repeated ``bytes.find``: the scan
+    ``words.occurrences`` made before it searched for an anchor."""
+    out = []
+    i = text.find(pattern)
+    while i != -1:
+        out.append(i)
+        i = text.find(pattern, i + 1)
+    return out
+
+
+def oracle_rewrite(letters: bytes, v: bytes, v_prime: bytes) -> bytes:
+    """letters with v_prime written over each copy of v from left to right,
+    so that where copies overlap the later one wins."""
+    out = bytearray(letters)
+    for p in oracle_occurrences(v, letters):
+        out[p:p + len(v)] = v_prime
+    return bytes(out)
 
 
 def oracle_builds(u: bytes, w: bytes):

@@ -98,28 +98,37 @@ def test_package_init_imports_existing_names():
     assert set(listed) == set(starred) == PUBLIC
 
 
-LOADED = ("import contextlib, io, json, sys\n"
+LOADED = ("import contextlib, io, sys\n"
           "from rankone import cli\n"
           "with contextlib.redirect_stdout(io.StringIO()):\n"
           "    cli.main(sys.argv[1:])\n"
-          "print(json.dumps(sorted(m for m in sys.modules\n"
-          "                        if m.startswith('rankone.'))))")
+          "loaded = sorted(m for m in sys.modules if m.startswith('rankone.')\n"
+          "                or m in ('json', 'fractions'))\n"
+          "import json\n"
+          "print(json.dumps(loaded))")
 BASE = {"errors", "params", "registry"}
+STDLIB = {"json", "fractions"}  # named as they are, not as rankone modules
 
 
 @pytest.mark.parametrize("argv, extra", [
     ("word --spec chacon --n 2", {"words"}),
     ("check --spec chacon-raw", set()),
     ("normalize --spec hk-raw", set()),
-    ("orbit --spec chacon --point 1:1:0/1 --steps 2", {"tower", "words"}),
-    ("name --spec chacon --point 2:0:1/5 --window 0:21", {"tower", "words"}),
-    ("injectivity --spec chacon --trials 10", {"tower", "words"}),
-    ("analyze --spec chacon --n 2 --m 4 --y shift:3", {"analysis", "words"}),
+    ("orbit --spec chacon --point 1:1:0/1 --steps 2",
+     {"tower", "words", "fractions"}),
+    ("name --spec chacon --point 2:0:1/5 --window 0:21",
+     {"tower", "words", "fractions"}),
+    ("injectivity --spec chacon --trials 10", {"tower", "words", "fractions"}),
+    ("analyze --spec chacon --n 2 --m 4 --y shift:3",
+     {"analysis", "words", "fractions"}),
     ("inverse --spec hk", {"inverseiso", "words"}),
+    ("check --spec chacon", set()),
+    ("--format json check --spec chacon", {"json", "fractions"}),
 ])
 def test_cli_call_imports_only_its_subcommand_modules(argv, extra):
     loaded = _fresh(LOADED, *argv.split())
-    assert set(loaded) == {f"rankone.{m}" for m in BASE | extra | {"cli"}}
+    rankone_modules = BASE | (extra - STDLIB) | {"cli"}
+    assert set(loaded) == {f"rankone.{m}" for m in rankone_modules} | (extra & STDLIB)
 
 
 def test_bare_import_loads_no_submodule():

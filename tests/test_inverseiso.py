@@ -28,6 +28,8 @@ from rankone.words import NameWindow, build_word, occurrences
 
 from helpers import (
     oracle_compatible,
+    oracle_occurrences,
+    oracle_rewrite,
     random_certified_spec,
     random_growth_spec,
     random_palindromic_certified_spec,
@@ -463,3 +465,30 @@ def test_stable_rewrite_preserves_window_range():
     result = stable_rewrite(chacon, window, 1)
     assert result.window.anchor == -5
     assert len(result.window) == len(window)
+
+
+def test_stable_rewrite_matches_the_overwrite_oracle():
+    # windows of v, v[:-1] and random letters: v ends and starts with 0, so
+    # v[:-1] followed by v holds two copies sharing a letter, and the later
+    # copy must win there
+    rng = Random(41)
+    specs = [get_spec("chacon"), get_spec("hk")]
+    specs += [random_certified_spec(rng) for _ in range(4)]
+    specs += [random_palindromic_certified_spec(rng) for _ in range(4)]
+    overlapping = 0
+    for spec in specs:
+        for N in range(3):
+            v = build_word(spec, N).letters
+            v_prime = build_word(reversed_parameters(spec), N).letters
+            for _ in range(20):
+                pieces = [rng.choice([v, v[:-1], bytes(
+                    rng.choice(b"01") for _ in range(rng.randint(0, 5)))])
+                    for _ in range(rng.randint(1, 8))]
+                letters = b"".join(pieces)
+                result = stable_rewrite(spec, NameWindow(3, letters), N)
+                assert result.window.letters == oracle_rewrite(letters, v, v_prime)
+                assert result.window.anchor == 3
+                hits = oracle_occurrences(v, letters)
+                assert result.replacements == len(hits)
+                overlapping += any(b - a < len(v) for a, b in zip(hits, hits[1:]))
+    assert overlapping > 100

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from rankone import words
 from rankone.errors import CapExceededError, SpecError
-from rankone.params import certified, heights, parse_spec
+from rankone.params import certified, heights, normalize, parse_spec
 from rankone.registry import get_spec
 from rankone.words import (
     build_word,
@@ -19,11 +20,15 @@ from rankone.words import (
 )
 
 from helpers import (
+    find_occurrences,
     oracle_builds,
     oracle_gap_instances,
     oracle_occurrences,
     oracle_word,
     random_certified_spec,
+    random_growth_spec,
+    random_normalized_spec,
+    random_palindromic_certified_spec,
 )
 
 W2_CHACON = "001011110010111110010"
@@ -180,13 +185,118 @@ def test_occurrences_empty_pattern_rejected():
         occurrences(b"", b"0")
 
 
-@given(st.binary(min_size=1, max_size=6).map(
-           lambda b: bytes(0x30 + (x & 1) for x in b)),
-       st.binary(min_size=0, max_size=60).map(
-           lambda b: bytes(0x30 + (x & 1) for x in b)))
+def _letters(raw: bytes) -> bytes:
+    return bytes(0x30 + (x & 1) for x in raw)
+
+
+@st.composite
+def _pattern_and_text(draw):
+    """A pattern, often periodic and longer than the anchor so that it
+    crosses the anchor and the doubling chunks, and a text made of its
+    copies, copies with one letter changed (often at a chunk's edge), cut
+    copies, periodic stretches and random letters, so that hits overlap and
+    near misses fail at every depth."""
+    a = words._ANCHOR
+    unit = _letters(draw(st.binary(min_size=1, max_size=8)))
+    size = draw(st.one_of(st.integers(1, 6), st.integers(a - 3, 4 * a + 3)))
+    pattern = bytearray((unit * (size // len(unit) + 1))[:size])
+    for flip in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        pattern[flip] ^= 1
+    pattern = bytes(pattern)
+    edges = [k for k in (a - 1, a, 2 * a - 1, 2 * a, 4 * a - 1, 4 * a, size - 1)
+             if k < size]
+
+    def flipped(k):
+        near = bytearray(pattern)
+        near[k] ^= 1
+        return bytes(near)
+
+    pieces = draw(st.lists(st.one_of(
+        st.just(pattern),
+        st.one_of(st.sampled_from(edges), st.integers(0, size - 1)).map(flipped),
+        st.integers(0, size).map(lambda k: pattern[:k]),
+        st.integers(0, size).map(lambda k: pattern[k:]),
+        st.integers(1, 3 * size).map(
+            lambda k: (unit * (k // len(unit) + 1))[:k]),
+        st.binary(max_size=60).map(_letters),
+    ), max_size=8))
+    return pattern, b"".join(pieces)
+
+
+@given(_pattern_and_text())
 @settings(max_examples=300, deadline=None)
-def test_occurrences_against_oracle(pattern, text):
+def test_occurrences_against_oracle(case):
+    pattern, text = case
     assert occurrences(pattern, text) == oracle_occurrences(pattern, text)
+
+
+def test_occurrences_miss_a_copy_changed_anywhere():
+    # one letter changed at any depth of the anchor or of the chunks
+    pattern = (b"0010111" * 200)[:4 * words._ANCHOR + 3]
+    text = b"1" + pattern + b"1"
+    assert occurrences(pattern, text) == [1]
+    for k in range(len(pattern)):
+        near = bytearray(text)
+        near[1 + k] ^= 1
+        assert occurrences(pattern, bytes(near)) == []
+
+
+def test_occurrences_of_pattern_with_regex_syntax():
+    # the anchor is searched as a literal, whatever bytes it holds
+    pattern = b".*(" * 100 + b"\\"
+    text = b"ab" + pattern + b".*(" * 50 + pattern
+    assert occurrences(pattern, text) == oracle_occurrences(pattern, text)
+    assert len(occurrences(pattern, text)) == 2
+
+
+def test_occurrences_after_the_budget_is_spent():
+    # every start in each 0^599 run is a candidate costing at least the
+    # anchor, so the budget runs out in the first block and find finishes
+    # the scan: the overlapping hits at the end are all its
+    pattern = b"0" * 600
+    text = (b"0" * 599 + b"1") * 8 + b"0" * 700
+    assert occurrences(pattern, text) == list(range(4800, 4901))
+
+
+def test_occurrences_of_stage_words_match_the_find_loop():
+    # w_n in w_m, in shifted copies and in copies with a letter changed or
+    # a 1 inserted, for specs from every generator
+    rng = Random(31)
+    specs = [get_spec("chacon"), get_spec("hk")]
+    for _ in range(6):
+        specs += [random_certified_spec(rng), normalize(random_growth_spec(rng)),
+                  random_normalized_spec(rng),
+                  random_palindromic_certified_spec(rng)]
+    long_patterns = 0
+    for spec in specs:
+        hs = heights(spec, 12)
+        top = max(m for m in range(13) if hs[m] <= 200_000)
+        wm = build_word(spec, top).letters
+        texts = [wm]
+        for _ in range(3):
+            i = rng.randrange(len(wm))
+            texts.append(wm[i:])
+            texts.append(wm[:i] + bytes([wm[i] ^ 1]) + wm[i + 1:])
+            texts.append(wm[:i] + b"1" + wm[i:])
+        for n in range(top + 1):
+            wn = build_word(spec, n).letters
+            long_patterns += len(wn) > words._ANCHOR
+            for text in texts:
+                assert occurrences(wn, text) == find_occurrences(wn, text)
+    assert long_patterns > 20
+
+
+@pytest.mark.parametrize("pattern, text", [
+    (b"0" * 300 + b"1", b"0" * (1 << 22)),
+    (b"0" * (1 << 16), (b"0" * ((1 << 16) - 1) + b"1") * 64),
+], ids=["0^300 1 in 0^2^22", "0^2^16 in (0^(2^16-1) 1)^64"])
+def test_occurrences_stays_linear_on_periodic_inputs(pattern, text):
+    # nearly every start is a candidate here; without the budget on
+    # confirmation each is confirmed in turn, and these scans take seconds
+    # where the find loop takes milliseconds
+    start = time.perf_counter()
+    assert occurrences(pattern, text) == []
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
