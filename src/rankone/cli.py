@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     probe = p.add_mutually_exclusive_group()
     probe.add_argument("--at", type=int, help="single letter index (lazy decode)")
-    probe.add_argument("--range", help="letter range a:b (lazy decode)")
+    probe.add_argument("--range", help="letter range a:b (lazy decode); "
+                       "write --range=a:b when a is negative")
 
     p = command("check", cmd_check, "partial boundedness / rewriting reports")
     p.add_argument("--to", type=int, help="numeric verification up to stage M")
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("name", cmd_name, "itinerary window of a point")
     p.add_argument("--point", required=True, help="n:j:p/q")
-    p.add_argument("--window", required=True, help="a:b")
+    p.add_argument("--window", required=True,
+                   help="a:b; write --window=a:b when a is negative")
 
     p = command("analyze", cmd_analyze, "classify occurrences against an image")
     p.add_argument("--n", type=int, required=True)

@@ -20,7 +20,6 @@ from .params import (
     StageRule,
     certified,
     eventual_cycle,
-    reversed_parameters,
     stage_table,
 )
 from .words import NameWindow, build_word, occurrences
@@ -116,6 +115,12 @@ class InverseVerdict:
         return self.isomorphic_to_inverse
 
 
+def _non_palindromic(stages) -> tuple[int, ...]:
+    """Indices of the rules or stage views whose spacer tuple differs from
+    its reversal."""
+    return tuple(i for i, s in enumerate(stages) if s.spacers != s.spacers[::-1])
+
+
 def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
     """Eventual palindromicity of the spacer tuples, decided symbolically
     over the eventual cycle rules: a rule is palindromic when its affine
@@ -125,20 +130,14 @@ def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
     if not spec.normalized:
         raise SpecError("decide on the normalized presentation")
     certified(spec)  # raises NotCertifiedError when the hypothesis fails
-    refuting = tuple(
-        pos for pos, rule in enumerate(eventual_cycle(spec))
-        if rule.spacers != rule.spacers[::-1]
-    )
+    refuting = _non_palindromic(eventual_cycle(spec))
     if refuting:
         return InverseVerdict(
             False, None, refuting_positions=refuting,
             detail=f"cycle position(s) {list(refuting)} are never palindromic",
         )
-    threshold = 0
-    for view in stage_table(spec).views(0, len(spec.preperiod)):
-        if view.spacers != tuple(reversed(view.spacers)):
-            threshold = view.n + 1
-    return InverseVerdict(True, threshold)
+    early = _non_palindromic(stage_table(spec).views(0, len(spec.preperiod)))
+    return InverseVerdict(True, early[-1] + 1 if early else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +254,7 @@ def check_non_isomorphism(
 
     # condition (4): grouped-tuple incompatibility, anchored at
     # non-palindromic positions of the first spec
-    positions = tuple(
-        pos for pos, rule in enumerate(cycleA)
-        if rule.spacers != rule.spacers[::-1]
-    )
+    positions = _non_palindromic(cycleA)
     is_reversal_twin = acc_aligned and all(
         va.spacers == vb.spacers[::-1] for va, vb in early
     ) and all(ra.spacers == rb.spacers[::-1] for ra, rb in aligned)
@@ -318,14 +314,12 @@ class RewriteResult:
 
 
 def stable_rewrite(spec: ParameterSpec, window: NameWindow, N: int) -> RewriteResult:
-    """Replace every complete occurrence of the stage-N word by the stage-N
-    word of the reversed-parameter system (its mirror image; lengths agree
-    since reversal preserves spacer sums).  Partial occurrences cut by the
-    window edges are left untouched and flagged."""
+    """Replace every complete occurrence of the stage-N word by its mirror
+    image, the stage-N word of the reversed-parameter system (reversing the
+    spacer tuples keeps every h_n and A_n, so it reverses every w_n).
+    Partial occurrences cut by the window edges are left untouched and flagged."""
     v = build_word(spec, N).letters
-    v_prime = build_word(reversed_parameters(spec), N).letters
-    if len(v) != len(v_prime):
-        raise SpecError("reversal changed the word length; spec is inconsistent")
+    v_prime = v[::-1]
     letters = window.letters
     positions = occurrences(v, letters)
     text, vp = memoryview(letters), memoryview(v_prime)

@@ -254,7 +254,7 @@ def normalize(spec: ParameterSpec) -> ParameterSpec:
             raise NormalizationError(
                 "rule class not closed under normalization: "
                 f"{where} rule {idx} carries a custom accumulator increment",
-                stage=idx,
+                stage=idx if where == "preperiod" else len(spec.preperiod) + idx,
             )
         last = rule.last if rule.last is not None else ZERO
         new_spacers = tuple(

@@ -138,8 +138,6 @@ def name_window(spec: ParameterSpec, p: TowerPoint, a: int, b: int) -> NameWindo
         raise SpecError("names are read against normalized presentations")
     if a > b:
         raise SpecError(f"need a <= b, got [{a}, {b})")
-    if a == b:
-        return NameWindow(a, b"", provenance=str(p))
     q = _fit(spec, p, a, b, f"window [{a}, {b}) of the orbit")
     letters = decode(spec, q.stage, q.level + a, q.level + b)
     return NameWindow(a, letters, provenance=str(p))
@@ -152,18 +150,6 @@ def sample_point(spec: ParameterSpec, m: int, rng: Random) -> TowerPoint:
     denominator = 1 << OFFSET_DENOMINATOR_BITS
     offset = Fraction(rng.randrange(denominator), denominator)
     return canonicalize(spec, TowerPoint(m, level, offset))
-
-
-def compare_names(spec, p1, p2, a, b) -> str:
-    """Outcome of comparing two itineraries on [a, b): 'separated',
-    'same_level' (identical coordinates except offset; names cannot differ
-    at this resolution), or 'not_separated'."""
-    q1, q2 = canonicalize(spec, p1), canonicalize(spec, p2)
-    if (q1.stage, q1.level) == (q2.stage, q2.level):
-        return "same_level"
-    w1 = name_window(spec, p1, a, b)
-    w2 = name_window(spec, p2, a, b)
-    return "separated" if w1.letters != w2.letters else "not_separated"
 
 
 @dataclass(frozen=True)
@@ -211,14 +197,16 @@ def verify_injectivity(
     while done < trials and retries < SAME_LEVEL_RETRIES:
         p1 = sample_point(spec, m, rng)
         p2 = sample_point(spec, m, rng)
-        outcome = compare_names(spec, p1, p2, -half, window - half)
-        if outcome == "same_level":
+        # same level: the names cannot differ at this resolution
+        if (p1.stage, p1.level) == (p2.stage, p2.level):
             skips += 1
             retries += 1
             continue
         done += 1
         retries = 0
-        if outcome == "separated":
+        w1 = name_window(spec, p1, -half, window - half)
+        w2 = name_window(spec, p2, -half, window - half)
+        if w1.letters != w2.letters:
             separated += 1
         else:
             failures.append((str(p1), str(p2)))

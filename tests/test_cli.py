@@ -119,6 +119,29 @@ def test_name_window(capsys):
     assert out.strip() == f"anchor:0 letters:{W2_CHACON}"
 
 
+@pytest.mark.parametrize("a", [3, -7])
+def test_name_empty_window_inside_the_column(capsys, a):
+    code, out, _ = run(capsys, "name", "--spec", "chacon",
+                       "--point", "0:0:1/2", f"--window={a}:{a}")
+    assert code == 0
+    assert out == f"anchor:{a} letters:\n"
+
+
+def test_name_window_with_negative_start(capsys):
+    argv = ["name", "--spec", "chacon", "--point", "0:0:1/2", "--window=-3:2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "anchor:-3 letters:11001\n"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out) == {"anchor": -3, "letters": "11001"}
+    # without "=" argparse takes the value for an option
+    code, _, err = run(capsys, "name", "--spec", "chacon", "--point", "0:0:1/2",
+                       "--window", "-3:2")
+    assert code == 2
+    assert "expected one argument" in err
+
+
 def test_analyze_shift(capsys):
     code, out, _ = run(capsys, "analyze", "--spec", "chacon", "--n", "2",
                        "--m", "4", "--y", "shift:3")
@@ -327,6 +350,8 @@ def spec_paths(tmp_path_factory):
       "file:{newline}"], 2),
     (["orbit", "--spec", "chacon", "--point", "0:0:1/2", "--steps",
       "1000000000"], 2),
+    (["name", "--spec", "chacon", "--point", "0:99:1/2", "--window", "0:0"], 2),
+    (["name", "--spec", "chacon", "--point", "5000:0:1/2", "--window", "0:0"], 2),
 ])
 def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     argv = [v.format(**spec_paths) for v in argv]

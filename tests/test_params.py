@@ -32,8 +32,14 @@ from rankone.params import (
     stage_views,
 )
 from rankone.registry import get_spec, names
+from rankone.words import build_word
 
-from helpers import random_growth_spec, random_normalized_spec
+from helpers import (
+    random_certified_spec,
+    random_growth_spec,
+    random_normalized_spec,
+    random_palindromic_certified_spec,
+)
 
 CHACON_TEXT = "preperiod:[]; cycle:[r=3, s=(0, 1), last=3h+1]"
 HK_TEXT = "cycle:[r=2, s=(0), last=2h+1]"
@@ -296,6 +302,21 @@ def test_normalize_rejects_custom_acc():
         normalize(spec)
 
 
+def test_normalization_error_names_the_stage_of_a_cycle_rule():
+    # cycle rule 0 first acts at stage 2, after the two preperiod rules
+    raw = StageRule(r=2, spacers=(SpacerExpr(0, 0, 1),), last=SpacerExpr(1, 0, 0))
+    custom = StageRule(r=3, spacers=(SpacerExpr(0, 0, 0),) * 2,
+                       last=SpacerExpr(1, 0, 0), acc=SpacerExpr(0, 0, 5))
+    spec = ParameterSpec(cycle=(custom, raw), preperiod=(raw, raw))
+    with pytest.raises(NormalizationError, match="cycle rule 0") as info:
+        normalize(spec)
+    assert info.value.stage == 2
+    spec = ParameterSpec(cycle=(raw,), preperiod=(raw, custom))
+    with pytest.raises(NormalizationError, match="preperiod rule 1") as info:
+        normalize(spec)
+    assert info.value.stage == 1
+
+
 def test_normalized_heights_track_raw_heights():
     # raw height = normalized height + accumulated delays
     rng = Random(8)
@@ -529,3 +550,16 @@ def test_reversed_parameters_preserves_heights():
     spec = get_spec("chacon")
     rev = get_spec("chacon-reversed")
     assert heights(spec, 8) == heights(rev, 8)
+    # and mirrors every stage word, which stable_rewrite relies on when it
+    # writes v[::-1] for the reversed system's w_N
+    rng = Random(53)
+    makers = (random_growth_spec, random_certified_spec, random_normalized_spec,
+              random_palindromic_certified_spec)
+    for make in makers:
+        for _ in range(12):
+            spec = normalize(make(rng))
+            rev = reversed_parameters(spec)
+            assert heights(rev, 5) == heights(spec, 5)
+            for n in range(6):
+                mirror = build_word(spec, n).letters[::-1]
+                assert build_word(rev, n).letters == mirror
