@@ -99,7 +99,7 @@ class Classification:
 
 
 def _run_is_ones(letters: bytes, start: int, stop: int) -> bool:
-    return b"0" not in letters[start:stop]
+    return letters.find(b"0", start, stop) < 0
 
 
 def _gap_after(occs, k, letters, anchor, word_len) -> Optional[int]:
@@ -281,16 +281,20 @@ def propagate_goodness(
                 "contradiction", contradiction_index=rec.index,
                 reason=f"alignment drift: rho={rec.rho} != {ell}",
             )
-    x, y = pair.x.letters, pair.y.letters
-    overlap = len(x) - ell
-    if not y.startswith(memoryview(x)[ell:]):
-        for j in range(overlap):
-            if y[j] != x[ell + j]:
-                return PropagationResult(
-                    "contradiction",
-                    contradiction_index=pair.x.anchor + j,
-                    reason="image window is not the source shifted by ell",
-                )
+    x, y = memoryview(pair.x.letters), pair.y.letters
+    if not y.startswith(x[ell:]):
+        # bisect for the first mismatch: y[:lo] matches, y[:hi] does not
+        lo, hi = 0, len(x) - ell
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if y.startswith(x[ell + lo:ell + mid], lo):
+                lo = mid
+            else:
+                hi = mid
+        return PropagationResult(
+            "contradiction", contradiction_index=pair.x.anchor + lo,
+            reason="image window is not the source shifted by ell",
+        )
     return PropagationResult("ok", ell=ell)
 
 
@@ -346,16 +350,19 @@ def classify_totally(
     """Verdicts for each occurrence of w_m in x over its constituent w_n
     occurrences, plus any violation of the dichotomy: the block following a
     totally good block must be totally good or totally bad, never mixed.
-    With m = n each block is its own single constituent."""
+    With m = n each block is its own single constituent.  The blocks are
+    read from the classification's occurrences of w_n, so x is not scanned
+    again; a w_m longer than x has no block."""
     if m < pair.n:
         raise SpecError(f"need m >= n, got m={m}, n={pair.n}")
     cls = classification or classify(pair)
-    wm = build_word(pair.spec, m).letters
-    block_starts = [i + pair.x.anchor for i in occurrences(wm, pair.x.letters)]
+    table = stage_table(pair.spec)
+    block_starts = _block_starts(pair, table, cls.x_occurrences, m)
+    span = table.view(m).h - cls.word_len if block_starts else 0
     blocks = []
     for j in block_starts:
         lo = bisect_left(cls.x_occurrences, j)
-        hi = bisect_right(cls.x_occurrences, j + len(wm) - cls.word_len)
+        hi = bisect_right(cls.x_occurrences, j + span)
         inside = cls.records[lo:hi]
         good = sum(1 for r in inside if r.verdict == GOOD)
         bad = sum(1 for r in inside if r.verdict == BAD)
@@ -375,6 +382,27 @@ def classify_totally(
         if prev.verdict == TOTALLY_GOOD and nxt.verdict == MIXED
     )
     return TotallyReport(blocks=tuple(blocks), dichotomy_violations=violations)
+
+
+def _block_starts(pair: CandidatePair, table, occs, m: int) -> list[int]:
+    """The starts of w_m in x, climbed through the spec's stage table from
+    the starts occs of w_n one stage at a time: since w_{k+1} is r copies
+    of w_k joined by 1-runs, i starts a copy of w_{k+1} exactly when
+    i + offset starts a copy of w_k for every copy's offset and each run
+    between them holds no 0.  Costs O(len(occs) * r) a stage, and stops
+    once no start is left."""
+    letters, anchor = pair.x.letters, pair.x.anchor
+    starts = list(occs)
+    for k in range(pair.n, m):
+        if not starts:
+            break
+        view = table.view(k)
+        present = set(starts)
+        for prev, off in zip(view.offsets, view.offsets[1:]):
+            lo, hi = prev + view.h - anchor, off - anchor
+            starts = [i for i in starts if i + off in present
+                      and _run_is_ones(letters, i + lo, i + hi)]
+    return starts
 
 
 # ---------------------------------------------------------------------------

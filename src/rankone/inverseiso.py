@@ -22,7 +22,7 @@ from .params import (
     eventual_cycle,
     stage_table,
 )
-from .words import NameWindow, build_word, occurrences
+from .words import _ANCHOR, NameWindow, build_word, occurrences
 
 SpacerTuple = tuple[int, ...]
 
@@ -305,6 +305,50 @@ def check_non_isomorphism(
 # stable rewriting
 
 
+def _border(s: bytes, text: bytes) -> int:
+    """The length of the longest prefix of s that ends text, by the prefix
+    function (Knuth, Morris and Pratt) in time linear in both."""
+    fail = [0] * len(s)
+    k = 0
+    for i in range(1, len(s)):
+        while k and s[i] != s[k]:
+            k = fail[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        fail[i] = k
+    k = 0
+    for c in text:
+        while k and (k == len(s) or c != s[k]):
+            k = fail[k - 1]
+        if k < len(s) and c == s[k]:
+            k += 1
+    return k
+
+
+def _overlaps(v: bytes, s: bytes) -> bool:
+    """Whether a nonempty suffix of v is a prefix of s, for len(s) < len(v).
+
+    Suffixes shorter than the occurrence scan's anchor are compared one by
+    one.  A longer one ends with v's last _ANCHOR letters, so its possible
+    lengths come from a scan of s for them, shortest first, and each is
+    confirmed by comparison.  The comparisons are charged to a budget of
+    twice len(s); once it is spent, as on periodic inputs, the prefix
+    function answers instead."""
+    a = min(len(s), _ANCHOR)
+    if any(v.endswith(s[:k]) for k in range(1, a)):
+        return True
+    if not s:
+        return False
+    prefix, budget = memoryview(s), 2 * len(s)
+    for e in occurrences(v[len(v) - a:], s):
+        budget -= e + a
+        if budget < 0:
+            return _border(s, v[len(v) - len(s):]) > 0
+        if v.endswith(prefix[:e + a]):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class RewriteResult:
     window: NameWindow
@@ -317,7 +361,10 @@ def stable_rewrite(spec: ParameterSpec, window: NameWindow, N: int) -> RewriteRe
     """Replace every complete occurrence of the stage-N word by its mirror
     image, the stage-N word of the reversed-parameter system (reversing the
     spacer tuples keeps every h_n and A_n, so it reverses every w_n).
-    Partial occurrences cut by the window edges are left untouched and flagged."""
+    Partial occurrences cut by the window edges are left untouched and
+    flagged: a proper suffix of the word no longer than the first copy's
+    start that begins the window, or the mirror case at the right edge,
+    each found in time linear in the word."""
     v = build_word(spec, N).letters
     v_prime = v[::-1]
     letters = window.letters
@@ -334,17 +381,9 @@ def stable_rewrite(spec: ParameterSpec, window: NameWindow, N: int) -> RewriteRe
         end = p + len(v)
     parts.append(text[end:])
     first = positions[0] if positions else len(letters)
-    last_end = positions[-1] + len(v) if positions else 0
-    partial_left = any(
-        letters[:len(v) - d] == v[d:]
-        for d in range(1, len(v))
-        if len(v) - d <= first
-    )
-    partial_right = any(
-        letters[len(letters) - d:] == v[:d]
-        for d in range(1, len(v))
-        if len(letters) - d >= last_end
-    )
+    right = min(len(v) - 1, len(letters) - end)  # end: where the last copy ends
+    partial_left = _overlaps(v, letters[:min(first, len(v) - 1)])
+    partial_right = _overlaps(v_prime, letters[len(letters) - right:][::-1])
     return RewriteResult(
         window=NameWindow(window.anchor, b"".join(parts), provenance="rewritten"),
         replacements=len(positions),

@@ -4,7 +4,8 @@ combinatorics.
 Words live over the alphabet {0, 1} and are stored as ASCII ``b"0"``/``b"1"``
 bytes, so that substring scans run in C: ``occurrences`` searches for a
 pattern's first letters with a compiled literal search and confirms the rest
-by comparison, within a budget linear in the text.  Stage words obey
+by comparison, within a budget linear in the text; overlapping hits follow
+from the pattern's period.  Stage words obey
 
     w_0 = "0",   w_{n+1} = w_n 1^{s_n(0)} w_n 1^{s_n(1)} ... 1^{s_n(r_n-2)} w_n
 
@@ -174,6 +175,39 @@ def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
     return 0, WordAddress(stage=n, index=j, path=tuple(path), spacer=None)
 
 
+def _period_bound(pattern: bytes) -> tuple[int, bool]:
+    """(p, True) when the pattern's smallest period p is at most half its
+    length m, else (m // 2 + 1, False), a lower bound on the period.
+
+    A period p <= m/2 is the first return of the pattern's first m - m//2
+    letters: an earlier return would be a second period, and two periods
+    that fit in the pattern this way give a smaller common one (Fine and
+    Wilf).  So one ``find`` and one comparison decide it in linear time."""
+    m = len(pattern)
+    p = pattern.find(pattern[:m - m // 2], 1)
+    if p != -1 and pattern.startswith(memoryview(pattern)[p:]):
+        return p, True
+    return m // 2 + 1, False
+
+
+def _period_end(text: bytes, i: int, p: int, known: int) -> int:
+    """The largest e such that text[i:e] has period p, given that
+    text[i : i + p + known] has it.  Galloping comparisons find it in
+    O(log) steps and in time linear in e - i."""
+    view = memoryview(text)
+    lo, step, limit = known, known, len(text) - i - p
+    while lo < limit:
+        step = min(step, limit - lo)
+        if text.startswith(view[i + lo:i + lo + step], i + p + lo):
+            lo += step
+            step *= 2
+        elif step > 1:
+            step //= 2
+        else:
+            break
+    return i + p + lo
+
+
 def occurrences(pattern: bytes, text: bytes) -> list[int]:
     """All i with text[i : i+|pattern|] == pattern, overlapping included.
 
@@ -182,9 +216,13 @@ def occurrences(pattern: bytes, text: bytes) -> list[int]:
     is confirmed by comparing the rest of the pattern in doubling chunks,
     so a miss costs about its common prefix with the pattern.  The anchor
     and every chunk compared are charged to a budget of twice the text's
-    length; once it is spent, as on periodic inputs, the scan finishes with
-    ``bytes.find``, so the whole scan stays linear in the text when the
-    hits do not overlap.
+    length; once it is spent, as on periodic inputs, the scan goes on with
+    ``bytes.find``.  No hit lies within the pattern's smallest period p of
+    another, and once a hit at i is confirmed, i + p is a hit exactly when
+    the p letters after it repeat the pattern's last p.  So when p is at
+    most half the pattern, the hits i, i + p, ... are read off the stretch
+    of text from i on that keeps period p, and the whole scan stays linear
+    in the text.
     """
     if not pattern:
         raise SpecError("pattern must be nonempty")
@@ -195,30 +233,44 @@ def occurrences(pattern: bytes, text: bytes) -> list[int]:
     endpos = len(text) - m + a  # an anchor ending later leaves no room for the rest
     pattern_view = memoryview(pattern)
     budget = 2 * len(text) if m > 1 else 0  # find scans one letter by memchr
+    period = None
     out = []
     pos = 0
-    while budget > 0:
-        hit = search(text, pos, endpos)
-        if hit is None:
-            return out
-        i = hit.start()
-        budget -= a
-        off = size = a
-        while off < m:
-            chunk = pattern_view[off:off + size]
-            budget -= len(chunk)
-            if not text.startswith(chunk, i + off):
-                break
-            off += size
-            size *= 2
+    while True:
+        if budget > 0:
+            hit = search(text, pos, endpos)
+            if hit is None:
+                return out
+            i = hit.start()
+            budget -= a
+            off = size = a
+            while off < m:
+                chunk = pattern_view[off:off + size]
+                budget -= len(chunk)
+                if not text.startswith(chunk, i + off):
+                    break
+                off += size
+                size *= 2
+            if off < m:
+                pos = i + 1
+                continue
         else:
+            i = text.find(pattern, pos)
+            if i == -1:
+                return out
+        if period is None:
+            period = _period_bound(pattern)
+        p, exact = period
+        if not exact:
             out.append(i)
-        pos = i + 1
-    i = text.find(pattern, pos)
-    while i != -1:
-        out.append(i)
-        i = text.find(pattern, i + 1)
-    return out
+            pos = i + p
+            continue
+        end = _period_end(text, i, p, m - p)
+        last = end - m - (end - m - i) % p
+        out.extend(range(i, last + 1, p))
+        # last + p spans the break of the period, so no hit follows within
+        # m - p of last, where every hit would be a multiple of p away
+        pos = last + m - p + 1
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ brute-force oracles.
 The oracles deliberately avoid the library's scan/bookkeeping code paths:
 occurrence scans use per-index prefix comparison, or the plain ``find``
 loop that the library's anchored scan replaced; gap reads walk the letters
-run by run; a stable rewrite overwrites each copy in turn; the
-compatibility oracle rebuilds the padded tuple for every offset; and names
-are walked one image at a time over stage words built here.
+run by run; a stable rewrite overwrites each copy in turn and tests its
+edges one shift at a time; the compatibility oracle rebuilds the padded
+tuple for every offset; and names are walked one image at a time over
+stage words built here.
 """
 
 from __future__ import annotations
@@ -117,6 +118,27 @@ def oracle_rewrite(letters: bytes, v: bytes, v_prime: bytes) -> bytes:
     for p in oracle_occurrences(v, letters):
         out[p:p + len(v)] = v_prime
     return bytes(out)
+
+
+def oracle_partial_edges(v: bytes, letters: bytes) -> tuple[bool, bool]:
+    """Whether a partial copy of v is cut by each edge of the window: a
+    proper suffix of v, ending no later than the first copy starts, that
+    begins the window, and the mirror case on the right, tested one shift
+    at a time (the loops ``stable_rewrite`` ran before its linear search)."""
+    positions = oracle_occurrences(v, letters)
+    first = positions[0] if positions else len(letters)
+    last_end = positions[-1] + len(v) if positions else 0
+    left = any(
+        letters[:len(v) - d] == v[d:]
+        for d in range(1, len(v))
+        if len(v) - d <= first
+    )
+    right = any(
+        letters[len(letters) - d:] == v[:d]
+        for d in range(1, len(v))
+        if len(letters) - d >= last_end
+    )
+    return left, right
 
 
 def oracle_builds(u: bytes, w: bytes):

@@ -1,7 +1,12 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankone import analysis, words
 
 from rankone.analysis import (
     BAD,
@@ -15,6 +20,7 @@ from rankone.analysis import (
     classify,
     classify_totally,
     corrupt_gap_pair,
+    cut_pair,
     good_density,
     propagate_goodness,
     select_kappa,
@@ -27,6 +33,7 @@ from rankone.words import NameWindow, build_word, gap_instances
 
 from helpers import (
     oracle_gap_after,
+    oracle_occurrences,
     oracle_verdicts,
     padded_block_window,
     random_certified_spec,
@@ -469,3 +476,146 @@ def test_dichotomy_after_totally_good():
     assert not report.dichotomy_violations
     first_bad = next(b.index for b in report.blocks if b.verdict == TOTALLY_BAD)
     assert first_bad > g.position
+
+def test_propagation_names_the_first_mismatch():
+    # the shift by 5 holds up to one flipped letter of the image; the
+    # contradiction is the index of that letter wherever it lies in the
+    # len(word) - 10 letters that the shift compares, and none after them
+    chacon = get_spec("chacon")
+    word = build_word(chacon, 5)
+    last = len(word) - 11
+    for flip in (0, 1, 777, 2048, 2049, last - 1, last, last + 1):
+        image = bytearray(word.letters[5:])
+        image[flip] ^= 1
+        pair = cut_pair(chacon, 3, word, bytes(image), kappa=1)
+        cls = classify(pair)
+        assert cls.counts()[1] == 0
+        result = propagate_goodness(pair, _good_indices(cls)[0], classification=cls)
+        if flip > last:
+            assert result.status == "ok" and result.ell == 5
+            continue
+        assert result.status == "contradiction"
+        assert result.reason == "image window is not the source shifted by ell"
+        assert result.contradiction_index == flip
+
+
+def test_propagation_finds_a_late_mismatch_in_time():
+    # a flip 11 letters before the end of w_9 (5,643,512 letters); a loop
+    # over the letters took about half a second to reach it
+    chacon = get_spec("chacon")
+    word = build_word(chacon, 9)
+    image = bytearray(word.letters[5:])
+    image[5_643_501] ^= 1
+    pair = cut_pair(chacon, 3, word, bytes(image), kappa=1)
+    cls = classify(pair)
+    start = time.perf_counter()
+    result = propagate_goodness(pair, _good_indices(cls)[0], classification=cls)
+    elapsed = time.perf_counter() - start
+    assert result.status == "contradiction"
+    assert result.contradiction_index == 5_643_501
+    assert elapsed < 0.1
+
+
+# ---------------------------------------------------------------------------
+# blocks read from the classification
+
+
+@st.composite
+def _block_case(draw):
+    """A window cut from a stage word, as is, with one letter flipped, or
+    with one 1-run made a letter longer or shorter (a spliced gap), at an
+    anchor that is often not 0, for registry specs including the periodic
+    finite odometer and for random certified specs.  m runs from n to the
+    window's stage, and sometimes past it, so that w_m is longer than the
+    window."""
+    name = draw(st.sampled_from(["chacon", "hk", "finite-odometer", "random"]))
+    if name == "random":
+        spec = random_certified_spec(Random(draw(st.integers(0, 2 ** 32))), max_r=3)
+    else:
+        spec = get_spec(name)
+    n = draw(st.integers(1, 3))
+    top = max(k for k in range(n, n + 4) if heights(spec, k)[k] <= 60_000)
+    word = build_word(spec, top).letters
+    # most windows keep most of the word, so that w_m for m > n often fits
+    a = draw(st.one_of(st.integers(0, 40), st.integers(0, len(word) - 1)))
+    a = min(a, len(word) - 1)
+    b = draw(st.one_of(st.integers(len(word) - 40, len(word)),
+                       st.integers(a + 1, len(word))))
+    letters = bytearray(word[a:max(a + 1, b)])
+    mode = draw(st.sampled_from(["plain", "flip", "splice"]))
+    if mode == "flip":
+        letters[draw(st.integers(0, len(letters) - 1))] ^= 1
+    elif mode == "splice" and b"1" in letters:
+        k = letters.find(b"1", draw(st.integers(0, len(letters) - 1)))
+        k = k if k >= 0 else letters.find(b"1")
+        letters[k:k + 1] = draw(st.sampled_from([b"", b"11"]))
+    x = NameWindow(draw(st.integers(-60, 60)), bytes(letters))
+    m = draw(st.one_of(st.integers(n, top), st.integers(n, n + 4)))
+    return spec, n, m, x
+
+
+@given(_block_case())
+@settings(max_examples=150, deadline=None)
+def test_totally_blocks_are_the_occurrences_of_w_m(case):
+    spec, n, m, x = case
+    pair = CandidatePair(spec=spec, x=x, y=NameWindow(x.anchor, b"1" * len(x)),
+                         kappa=0, n=n)
+    report = classify_totally(pair, m)
+    wm = build_word(spec, m).letters
+    expected = [i + x.anchor for i in oracle_occurrences(wm, x.letters)]
+    assert [b.index for b in report.blocks] == expected
+    wn = build_word(spec, n).letters
+    constituents = [i + x.anchor for i in oracle_occurrences(wn, x.letters)]
+    for block in report.blocks:
+        inside = [i for i in constituents
+                  if block.index <= i <= block.index + len(wm) - len(wn)]
+        assert block.good + block.bad + block.indeterminate == len(inside)
+
+
+def test_totally_blocks_of_spliced_pair_match_the_scan():
+    chacon = get_spec("chacon")
+    window = padded_block_window(chacon, 2, 4, 5, kappa=1)
+    g = next(gg for gg in gap_instances(chacon, 2, 4) if gg.stage == 3)
+    pair = spliced_pair(chacon, 2, 1, window, g.position - window.anchor,
+                        g.length, g.length + 1)
+    for m in range(2, 7):
+        report = classify_totally(pair, m)
+        wm = build_word(chacon, m).letters
+        assert [b.index for b in report.blocks] == \
+            [i + window.anchor for i in oracle_occurrences(wm, window.letters)]
+    assert len(classify_totally(pair, 4).blocks) == 1
+    assert classify_totally(pair, 5).blocks == ()
+
+
+def test_totally_with_a_classification_scans_nothing(monkeypatch):
+    chacon = get_spec("chacon")
+    pair = shift_pair(chacon, 2, 3, 6)
+    cls = classify(pair)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_totally scanned or built a word")
+
+    for module in (analysis, words):
+        monkeypatch.setattr(module, "occurrences", refuse)
+        monkeypatch.setattr(module, "build_word", refuse)
+    report = classify_totally(pair, 4, classification=cls)
+    assert len(report.blocks) == 8
+    assert classify_totally(pair, 30, classification=cls).blocks == ()
+
+
+def test_totally_needs_every_run_between_copies_to_be_ones():
+    # w_4 with the first or the last letter of one 1-run set to 0: every
+    # copy of w_2 still stands, but the blocks around that run are gone
+    chacon = get_spec("chacon")
+    word = build_word(chacon, 4).letters
+    for gap in gap_instances(chacon, 2, 4):
+        for k in (gap.position, gap.position + gap.length - 1):
+            letters = word[:k] + b"0" + word[k + 1:]
+            x = NameWindow(-9, letters)
+            pair = CandidatePair(spec=chacon, x=x, kappa=1, n=2,
+                                 y=NameWindow(-9, b"1" * len(letters)))
+            for m in (3, 4):
+                wm = build_word(chacon, m).letters
+                expected = [i - 9 for i in oracle_occurrences(wm, letters)]
+                assert [b.index for b in classify_totally(pair, m).blocks] == expected
+            assert classify_totally(pair, 4).blocks == ()

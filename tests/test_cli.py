@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,17 @@ def test_analyze_corrupt_json(capsys):
     assert payload["occurrences"] == sorted(r["index"] for r in records)
     assert "totally" in payload
     assert code in (0, 1)
+
+
+def test_analyze_overlapping_copies_ends_in_time(capsys):
+    # w_10 = 0^1024 has 1,047,553 overlapping copies in w_20, and as many in
+    # the image; confirming each from scratch took over 7 s before the exit
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--spec", "finite-odometer", "--n", "10",
+                       "--m", "20", "--kappa", "0", "--y", "shift:1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "1024 image copies contain the probe at 1023" in err
 
 
 def test_analyze_image_from_file(capsys, tmp_path):

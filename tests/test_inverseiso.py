@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.errors import NotCertifiedError, SpecError
+from rankone import inverseiso
 from rankone.inverseiso import (
+    _border,
+    _overlaps,
     check_non_isomorphism,
     decide_inverse_isomorphic,
     group_stages,
@@ -18,6 +22,7 @@ from rankone.params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    heights,
     normalize,
     parse_spec,
     reversed_parameters,
@@ -29,6 +34,7 @@ from rankone.words import NameWindow, build_word, occurrences
 from helpers import (
     oracle_compatible,
     oracle_occurrences,
+    oracle_partial_edges,
     oracle_rewrite,
     random_certified_spec,
     random_growth_spec,
@@ -492,3 +498,100 @@ def test_stable_rewrite_matches_the_overwrite_oracle():
                 assert result.replacements == len(hits)
                 overlapping += any(b - a < len(v) for a, b in zip(hits, hits[1:]))
     assert overlapping > 100
+
+
+def _letters(raw: bytes) -> bytes:
+    return bytes(0x30 + (x & 1) for x in raw)
+
+
+@st.composite
+def _rewrite_case(draw):
+    """A stage word v of up to 2048 letters, from the registry (the finite
+    odometer's words are periodic) or a random certified spec, and a window
+    of its copies, its cut copies, runs of one letter and random letters."""
+    name = draw(st.sampled_from(["chacon", "hk", "finite-odometer", "random"]))
+    if name == "random":
+        spec = random_certified_spec(Random(draw(st.integers(0, 2 ** 32))), max_r=3)
+    else:
+        spec = get_spec(name)
+    top = max(k for k in range(12) if heights(spec, k)[k] <= 2048)
+    N = draw(st.integers(0, top))
+    v = build_word(spec, N).letters
+    size = len(v)
+    pieces = draw(st.lists(st.one_of(
+        st.just(v),
+        st.integers(0, size).map(lambda k: v[k:]),
+        st.integers(0, size).map(lambda k: v[:k]),
+        st.tuples(st.sampled_from(b"01"), st.integers(0, 2 * size)).map(
+            lambda t: bytes([t[0]]) * t[1]),
+        st.binary(max_size=40).map(_letters),
+    ), min_size=1, max_size=6))
+    return spec, N, v, b"".join(pieces)
+
+
+@given(_rewrite_case())
+@settings(max_examples=300, deadline=None)
+def test_stable_rewrite_edges_match_the_oracle(case):
+    spec, N, v, letters = case
+    result = stable_rewrite(spec, NameWindow(-4, letters), N)
+    edges = (result.partial_left, result.partial_right)
+    assert edges == oracle_partial_edges(v, letters)
+    assert result.window.letters == oracle_rewrite(letters, v, v[::-1])
+
+
+@st.composite
+def _overlap_case(draw):
+    """v and s with len(s) < len(v), both often periodic and longer than
+    the anchor, s often starting with a suffix of v."""
+    unit = _letters(draw(st.binary(min_size=1, max_size=6)))
+    size = draw(st.one_of(st.integers(2, 12), st.integers(250, 1100)))
+    v = bytearray((unit * (size // len(unit) + 1))[:size])
+    for flip in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        v[flip] ^= 1
+    v = bytes(v)
+    head = draw(st.one_of(st.just(b""), st.integers(1, size - 1).map(lambda k: v[k:])))
+    tail = draw(st.one_of(
+        st.binary(max_size=30).map(_letters),
+        st.integers(0, size).map(lambda k: (unit * (k // len(unit) + 1))[:k]),
+    ))
+    return v, (head + tail)[:draw(st.integers(0, size - 1))]
+
+
+@given(_overlap_case())
+@settings(max_examples=400, deadline=None)
+def test_overlaps_and_border_against_brute_force(case):
+    v, s = case
+    lengths = [k for k in range(1, len(s) + 1) if v.endswith(s[:k])]
+    assert _overlaps(v, s) == bool(lengths)
+    assert _border(s, v[len(v) - len(s):]) == max(lengths, default=0)
+
+
+@pytest.mark.parametrize("s, expected", [
+    (b"1" + b"0" * 2000 + b"11", True),  # 1 0^2000 is a suffix of v
+    (b"1" + b"0" * 2000, True),  # and all of s
+    (b"1" + b"0" * 1500 + b"1", False),
+])
+def test_overlaps_hands_periodic_inputs_to_the_prefix_function(monkeypatch, s, expected):
+    # every start of 0^256 in s is a candidate, so the budget runs out
+    v = b"1" * 5 + b"0" * 2000
+    calls = []
+    monkeypatch.setattr(inverseiso, "_border",
+                        lambda *args: calls.append(args) or _border(*args))
+    assert _overlaps(v, s) is expected
+    assert len(calls) == 1
+
+
+def test_stable_rewrite_edges_stay_linear():
+    # 1^|v| v 1^|v| on chacon: the loop over every shift took 1.7 s at N=7
+    # (156,766 letters) and 111 s at N=8 (940,587)
+    chacon = get_spec("chacon")
+    for N in range(3, 9):
+        v = build_word(chacon, N).letters
+        for letters, edges in ((b"1" * len(v) + v + b"1" * len(v), (False, False)),
+                               (v[7:] + b"1" + v + v[:-7], (True, True))):
+            start = time.perf_counter()
+            result = stable_rewrite(chacon, NameWindow(0, letters), N)
+            elapsed = time.perf_counter() - start
+            assert (result.partial_left, result.partial_right) == edges
+            assert result.replacements == 1
+            assert elapsed < 0.05 + len(letters) * 3e-7, (N, elapsed)

@@ -299,6 +299,39 @@ def test_occurrences_stays_linear_on_periodic_inputs(pattern, text):
     assert time.perf_counter() - start < 2.0
 
 
+@given(st.binary(min_size=1, max_size=8).map(_letters), st.integers(1, 700),
+       st.lists(st.integers(0, 699), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_period_bound_against_brute_force(unit, size, flips):
+    pattern = bytearray((unit * (size // len(unit) + 1))[:size])
+    for flip in flips:
+        pattern[flip % size] ^= 1
+    pattern = bytes(pattern)
+    period = next(d for d in range(1, size + 1) if pattern.startswith(pattern[d:]))
+    if period <= size // 2:
+        assert words._period_bound(pattern) == (period, True)
+    else:
+        assert words._period_bound(pattern) == (size // 2 + 1, False)
+
+
+def test_occurrences_of_overlapping_hits_stay_linear():
+    # finite-odometer's words are 0^(2^k); confirming each of the 1,047,553
+    # hits of w_10 in w_20 from scratch took about 5 s.  Patterns of period
+    # 1, of period 4 and growing with the text, in texts of 2^16..2^20 letters
+    odometer = get_spec("finite-odometer")
+    w10 = build_word(odometer, 10).letters
+    for k in range(16, 21):
+        zeros = build_word(odometer, k).letters
+        cases = [(w10, zeros, 1), (build_word(odometer, k - 6).letters, zeros, 1),
+                 (b"0110" * 256 + b"0", b"0110" * (1 << (k - 2)), 4)]
+        for pattern, text, period in cases:
+            start = time.perf_counter()
+            hits = occurrences(pattern, text)
+            elapsed = time.perf_counter() - start
+            assert hits == list(range(0, len(text) - len(pattern) + 1, period))
+            assert elapsed < 0.05 + len(text) * 1e-6, (k, len(pattern), elapsed)
+
+
 # ---------------------------------------------------------------------------
 # builds
 
