@@ -114,6 +114,22 @@ class ParameterSpec:
         if not self.cycle:
             raise SpecError("cycle must be nonempty")
 
+    def __hash__(self) -> int:
+        # the hash of the fields walks every rule and expression, and the
+        # lru_caches keyed on specs ask for it on each lookup; kept once per
+        # instance, and out of pickles and copies, since str hashes differ
+        # between processes
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.cycle, self.preperiod, self.name))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def normalized(self) -> bool:
         """True when no stage places spacers on the last subcolumn."""

@@ -2,10 +2,15 @@
 combinatorics.
 
 Words live over the alphabet {0, 1} and are stored as ASCII ``b"0"``/``b"1"``
-bytes, so that substring scans run in C: ``occurrences`` searches for a
-pattern's first letters with a compiled literal search and confirms the rest
-by comparison, within a budget linear in the text; overlapping hits follow
-from the pattern's period.  Stage words obey
+bytes, so that substring scans run in C.  The words of infinite-measure
+transformations are mostly 1s: h_n/A_n grows without bound, so the share of
+0s goes to zero.  So when a pattern holds a run of at least _RUN_MIN 1s
+between two 0s, ``occurrences`` jumps from one long 1-run of the text to the
+next and confirms only the runs of exactly that length; once the runs come
+more often than one per _RUN_STEP letters, it hands the text over to a
+compiled literal search for the pattern's first letters, which confirms the
+rest by comparison, within a budget linear in the text.  Overlapping hits
+follow from the pattern's period.  Stage words obey
 
     w_0 = "0",   w_{n+1} = w_n 1^{s_n(0)} w_n 1^{s_n(1)} ... 1^{s_n(r_n-2)} w_n
 
@@ -25,6 +30,9 @@ from .params import ParameterSpec, StageView, stage_table
 
 DEFAULT_CAP = 1 << 26
 _ANCHOR = 256  # letters of a pattern that occurrences() searches for
+_RUN_MIN = 64  # shortest pattern 1-run that occurrences() jumps between
+_RUN_STEP = 512  # letters of progress the run tier may spend per run it looks at
+_RUN_SLACK = 8  # runs the run tier looks at before its rate is checked
 
 
 @dataclass(frozen=True)
@@ -208,56 +216,108 @@ def _period_end(text: bytes, i: int, p: int, known: int) -> int:
     return i + p + lo
 
 
+def _longest_run(pattern: bytes) -> tuple[int, int]:
+    """(o, L): the offset and length of the pattern's first longest run of
+    1s with a 0 on both sides, or (0, 0) when it has no such run."""
+    first, last = pattern.find(b"0"), pattern.rfind(b"0")
+    if first == last:
+        return 0, 0
+    lengths = list(map(len, pattern[first + 1:last].split(b"0")))
+    run = max(lengths)
+    k = lengths.index(run)
+    return first + 1 + sum(lengths[:k]) + k, run
+
+
 def occurrences(pattern: bytes, text: bytes) -> list[int]:
     """All i with text[i : i+|pattern|] == pattern, overlapping included.
 
-    Candidates are the starts of the pattern's first _ANCHOR letters, found
-    by a compiled literal search (``re`` caches the compiled anchor); each
-    is confirmed by comparing the rest of the pattern in doubling chunks,
-    so a miss costs about its common prefix with the pattern.  The anchor
-    and every chunk compared are charged to a budget of twice the text's
-    length; once it is spent, as on periodic inputs, the scan goes on with
-    ``bytes.find``.  No hit lies within the pattern's smallest period p of
-    another, and once a hit at i is confirmed, i + p is a hit exactly when
-    the p letters after it repeat the pattern's last p.  So when p is at
-    most half the pattern, the hits i, i + p, ... are read off the stretch
-    of text from i on that keeps period p, and the whole scan stays linear
-    in the text.
+    When the pattern holds a run of L >= _RUN_MIN 1s between two 0s, at
+    offset o, every hit i has a maximal run of exactly L 1s at i + o.  The
+    run tier jumps from one run of at least min(L, _ANCHOR) 1s to the next
+    with ``bytes.find`` and finds each run's end by memchr, so it crosses
+    the long 1-runs of sparse-0 words in C without a step per letter.  A
+    run of exactly L gives one candidate, confirmed from its first letter.
+    When the runs it looks at come more often than one per _RUN_STEP
+    letters (after _RUN_SLACK runs), the rest of the text goes to the
+    anchor search, which finds the starts of the pattern's first _ANCHOR
+    letters by a compiled literal search (``re`` caches the compiled
+    anchor).  Each candidate is confirmed by comparing the pattern in
+    doubling chunks, so a miss costs about its common prefix with the
+    pattern.  The anchor and every chunk compared are charged to a budget
+    of twice the text's length; once it is spent, as on periodic inputs,
+    the scan goes on with ``bytes.find``.  No hit lies within the
+    pattern's smallest period p of another, and once a hit at i is
+    confirmed, i + p is a hit exactly when the p letters after it repeat
+    the pattern's last p.  So when p is at most half the pattern, the hits
+    i, i + p, ... are read off the stretch of text from i on that keeps
+    period p, and the whole scan stays linear in the text.
     """
     if not pattern:
         raise SpecError("pattern must be nonempty")
     m = len(pattern)
     anchor = pattern[:_ANCHOR]
     a = len(anchor)
-    search = re.compile(re.escape(anchor)).search
-    endpos = len(text) - m + a  # an anchor ending later leaves no room for the rest
+    search = None
+    top = len(text) - m  # the last start a hit may have
+    endpos = top + a  # an anchor ending later leaves no room for the rest
     pattern_view = memoryview(pattern)
     budget = 2 * len(text) if m > 1 else 0  # find scans one letter by memchr
+    o, run = _longest_run(pattern)
+    runs = run >= _RUN_MIN
+    ones = b"1" * min(run, _ANCHOR)
+    seen = 0  # runs the run tier has looked at
     period = None
     out = []
     pos = 0
     while True:
-        if budget > 0:
+        if runs and (budget <= 0 or seen > _RUN_SLACK + pos // _RUN_STEP):
+            runs = False
+        if runs:
+            if pos > top:
+                return out
+            start = pos + o  # the first letter a candidate's run may start at
+            if text[start - 1] == 0x31:  # inside a run: skip to its end
+                seen += 1
+                start = text.find(b"0", start)
+                if start == -1:
+                    return out
+            # start is or follows a 0, so the first len(ones) 1s found from
+            # it open a maximal run
+            seen += 1
+            s = text.find(ones, start)
+            e = -1 if s == -1 else text.find(b"0", s + len(ones))
+            if e == -1 or s - o > top:
+                return out
+            i = s - o
+            if e - s != run:
+                pos = e + 1 - o
+                continue
+            off, size = 0, a
+        elif budget > 0:
+            if search is None:
+                search = re.compile(re.escape(anchor)).search
             hit = search(text, pos, endpos)
             if hit is None:
                 return out
             i = hit.start()
             budget -= a
             off = size = a
-            while off < m:
-                chunk = pattern_view[off:off + size]
-                budget -= len(chunk)
-                if not text.startswith(chunk, i + off):
-                    break
-                off += size
-                size *= 2
-            if off < m:
-                pos = i + 1
-                continue
         else:
             i = text.find(pattern, pos)
             if i == -1:
                 return out
+            off = m
+        while off < m:
+            chunk = pattern_view[off:off + size]
+            budget -= len(chunk)
+            if not text.startswith(chunk, i + off):
+                break
+            off += size
+            size *= 2
+        if off < m:
+            # a tier candidate misses, and so does every i up to its run's end
+            pos = e + 1 - o if runs else i + 1
+            continue
         if period is None:
             period = _period_bound(pattern)
         p, exact = period

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
 from random import Random
 
@@ -484,6 +487,40 @@ def test_spec_caches_are_bounded():
         heights(spec, 3)
     assert certified.cache_info().currsize == SPEC_CACHE_SIZE
     assert stage_table.cache_info().currsize == SPEC_CACHE_SIZE
+
+
+def test_spec_hash_is_kept_once_per_instance(monkeypatch):
+    spec, equal = (normalize(parse_spec(CHACON_TEXT)) for _ in range(2))
+    assert spec == equal and spec is not equal
+    assert hash(spec) == hash(equal)
+    assert stage_table(spec) is stage_table(equal)
+    calls = []
+    rule_hash = StageRule.__hash__
+    monkeypatch.setattr(StageRule, "__hash__",
+                        lambda rule: calls.append(rule) or rule_hash(rule))
+    fresh = parse_spec(HK_TEXT)
+    first = hash(fresh)
+    assert calls
+    calls.clear()
+    assert hash(fresh) == first and not calls
+    assert certified(spec) is certified(equal) and not calls
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)),
+    copy.copy,
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+def test_spec_hash_is_not_carried_to_clones(clone):
+    # str hashes differ between processes, so a hash kept in one must not
+    # travel with the spec; a planted wrong value shows whether it does
+    spec = parse_spec(CHACON_TEXT)
+    hash(spec)
+    object.__setattr__(spec, "_hash", 12345)
+    other = clone(spec)
+    assert other == spec
+    assert hash(other) == hash(parse_spec(CHACON_TEXT)) != 12345
 
 
 def test_certified_raises_when_refuted():

@@ -2,7 +2,7 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import words
@@ -330,6 +330,111 @@ def test_occurrences_of_overlapping_hits_stay_linear():
             elapsed = time.perf_counter() - start
             assert hits == list(range(0, len(text) - len(pattern) + 1, period))
             assert elapsed < 0.05 + len(text) * 1e-6, (k, len(pattern), elapsed)
+
+
+@st.composite
+def _run_structured(draw):
+    """A pattern with a run of L >= _RUN_MIN 1s between 0s, and a text of
+    its copies, copies with a letter changed, runs of L and L +- 1 and
+    short runs, often with 1s touching either end.  The pattern may start
+    or end with 1s, hold its longest run twice or repeat a unit, so that
+    hits overlap and a run is often in progress where the scan resumes."""
+    big = draw(st.integers(words._RUN_MIN, 300))
+    run = st.one_of(st.sampled_from([big, big - 1, big + 1]), st.integers(0, 8))
+    inner = draw(st.lists(run, min_size=1, max_size=4))
+    inner.insert(draw(st.integers(0, len(inner))), big)
+    edge = st.one_of(st.just(0), st.integers(1, big + 2))
+    unit = (b"1" * draw(edge) + b"0" + b"0".join(b"1" * k for k in inner)
+            + b"0" + b"1" * draw(edge))
+    pattern = unit * draw(st.integers(1, 3))
+
+    def flipped(k):
+        near = bytearray(pattern)
+        near[k] ^= 1
+        return bytes(near)
+
+    pieces = draw(st.lists(st.one_of(
+        st.just(pattern),
+        st.integers(0, len(pattern) - 1).map(flipped),
+        st.integers(0, len(pattern)).map(lambda k: pattern[:k]),
+        st.integers(0, len(pattern)).map(lambda k: pattern[k:]),
+        st.lists(run, min_size=1, max_size=6).map(
+            lambda ks: b"0".join(b"1" * k for k in ks)),
+    ), max_size=10))
+    ends = st.one_of(st.just(b""), st.integers(1, 2 * big).map(lambda k: b"1" * k))
+    return pattern, draw(ends) + b"".join(pieces) + draw(ends)
+
+
+_LEADING_ONES = b"11" + b"0" + b"1" * 64 + b"0111" + b"0"
+
+
+@given(_run_structured())
+@example((_LEADING_ONES, _LEADING_ONES[:65] + _LEADING_ONES))  # miss, then hit
+@settings(max_examples=400, deadline=None)
+def test_run_tier_against_oracle(case):
+    pattern, text = case
+    assert words._longest_run(pattern)[1] >= words._RUN_MIN
+    assert occurrences(pattern, text) == oracle_occurrences(pattern, text)
+
+
+@given(st.binary(max_size=40).map(_letters))
+def test_longest_run_against_brute_force(pattern):
+    inner = [(len(run), i) for i in range(1, len(pattern))
+             for run in [pattern[i:].split(b"0")[0]]
+             if pattern[i - 1:i] == b"0" and b"0" in pattern[i:]]
+    want = max(inner, key=lambda t: (t[0], -t[1]), default=(0, 0))
+    assert words._longest_run(pattern) == (want[1], want[0])
+
+
+def test_run_tier_scans_stage_words_without_the_anchor_search(monkeypatch):
+    # chacon's w_4 holds a run of 181 1s, so its copies in w_9 are found by
+    # jumping between runs; the anchor search is never compiled
+    def refuse(*args, **kwargs):
+        raise AssertionError("the anchor search was compiled")
+
+    chacon = get_spec("chacon")
+    w4, w9 = build_word(chacon, 4).letters, build_word(chacon, 9).letters
+    monkeypatch.setattr(words.re, "compile", refuse)
+    assert occurrences(w4, w9) == expected_occurrences(chacon, 4, 9)
+
+
+def _handover_cases(size):
+    """(name, pattern, text, hits, compiled) of about ``size`` letters each:
+    compiled tells whether the anchor search runs, after the run tier hands
+    over or when the pattern's runs are too short for the tier."""
+    dense = (b"0" + b"1" * 100) * (size // 101) + b"0"
+    short = (b"0" + b"1" * 40) * (size // 41) + b"0"
+    spread = (b"0" + b"1" * 999) * (size // 1000) + b"0"
+    periodic = (b"0" + b"1" * 40) * 20 + b"0"
+    return [
+        ("(0 1^100)^k, no hit",
+         b"0" + b"1" * 100 + b"0" + b"1" * 5 + b"0" + b"1" * 100 + b"0",
+         dense, [], True),
+        ("(0 1^40)^k, a hit every period", periodic, short,
+         list(range(0, len(short) - len(periodic) + 1, 41)), True),
+        ("(0 1^999)^k, a run of 1000", b"0" + b"1" * 1000 + b"0", spread, [],
+         False),
+        ("all 1s", b"0" + b"1" * 100 + b"0", b"1" * size, [], False),
+    ]
+
+
+def test_run_tier_hands_over_and_stays_linear(monkeypatch):
+    # every 1-run of (0 1^100)^k is a candidate, so the tier hands the text
+    # to the anchor search after about ten; runs that never fit cost a
+    # find each, and a text without 0s ends the scan at once
+    compiled = []
+    compile_ = words.re.compile
+    monkeypatch.setattr(words.re, "compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    for k in range(16, 23):
+        for name, pattern, text, hits, handed in _handover_cases(1 << k):
+            compiled.clear()
+            start = time.perf_counter()
+            found = occurrences(pattern, text)
+            elapsed = time.perf_counter() - start
+            assert found == hits, name
+            assert bool(compiled) == handed, name
+            assert elapsed < 0.05 + len(text) * 1e-6, (name, k, elapsed)
 
 
 # ---------------------------------------------------------------------------
