@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .errors import AmbiguousContainmentError, NotCertifiedError, SpecError
 from .params import (
     ParameterSpec,
     PartialBoundednessCertificate,
+    Value,
     certified,
     stage_table,
 )
@@ -52,8 +52,7 @@ def select_kappa(
     return kappa
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(Value):
     spec: ParameterSpec
     x: NameWindow
     y: NameWindow
@@ -67,8 +66,7 @@ class CandidatePair:
             raise SpecError(f"need 0 <= kappa < n, got kappa={self.kappa}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class OccurrenceRecord:
+class OccurrenceRecord(Value):
     index: int
     verdict: str
     rho: Optional[int] = None
@@ -76,8 +74,7 @@ class OccurrenceRecord:
     image_gap: Optional[int] = None  # 1-run after the containing copy in y
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     pair: CandidatePair
     records: tuple[OccurrenceRecord, ...]
     x_occurrences: tuple[int, ...]
@@ -186,8 +183,7 @@ def _warn_on_unexpected(pair: CandidatePair, occs_x) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ABLawRecord:
+class ABLawRecord(Value):
     index: int
     direction: str
     a: Optional[int]
@@ -243,8 +239,7 @@ def check_ab_law(
     )
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(Value):
     status: str  # "ok" | "contradiction"
     ell: Optional[int] = None
     contradiction_index: Optional[int] = None
@@ -298,8 +293,7 @@ def propagate_goodness(
     return PropagationResult("ok", ell=ell)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Value):
     good: int
     bad: int
     indeterminate: int
@@ -328,8 +322,7 @@ TOTALLY_BAD = "totally_bad"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(Value):
     index: int
     verdict: str
     good: int
@@ -337,8 +330,7 @@ class BlockRecord:
     indeterminate: int
 
 
-@dataclass(frozen=True)
-class TotallyReport:
+class TotallyReport(Value):
     blocks: tuple[BlockRecord, ...]
     dichotomy_violations: tuple[int, ...]
 

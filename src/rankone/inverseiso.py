@@ -9,7 +9,6 @@ reversed-parameter system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -18,6 +17,7 @@ from .params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    Value,
     certified,
     eventual_cycle,
     stage_table,
@@ -43,8 +43,7 @@ def star(s2: SpacerTuple, s1: SpacerTuple) -> SpacerTuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CompatibilityResult:
+class CompatibilityResult(Value):
     incompatible: bool
     offset: Optional[int] = None  # witness when compatible
     c: Optional[int] = None  # the forced middle entry; None means any works
@@ -104,8 +103,7 @@ def group_stages(
 # inverse isomorphism decision
 
 
-@dataclass(frozen=True)
-class InverseVerdict:
+class InverseVerdict(Value):
     isomorphic_to_inverse: bool
     N: Optional[int]
     refuting_positions: tuple[int, ...] = ()
@@ -144,8 +142,7 @@ def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
 # non-isomorphism criteria
 
 
-@dataclass(frozen=True)
-class GroupingWitness:
+class GroupingWitness(Value):
     stage: int
     q: int
     t: SpacerTuple
@@ -154,8 +151,7 @@ class GroupingWitness:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class NonIsoReport:
+class NonIsoReport(Value):
     criteria_met: bool
     status: str
     commensurable: Optional[bool] = None
@@ -349,8 +345,7 @@ def _overlaps(v: bytes, s: bytes) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RewriteResult:
+class RewriteResult(Value):
     window: NameWindow
     replacements: int
     partial_left: bool

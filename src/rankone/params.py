@@ -11,11 +11,14 @@ closed under moving last-column spacers to later stages.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .errors import NormalizationError, NotCertifiedError, ParseError, SpecError
@@ -29,8 +32,84 @@ MAX_STAGE = 4096  # highest stage a table holds: its memory grows as stage^2
 # domain types
 
 
-@dataclass(frozen=True)
-class SpacerExpr:
+class Value:
+    """Base of the frozen value types: a subclass declares its fields as
+    class annotations, with optional defaults, as for ``@dataclass(frozen=
+    True)``, and behaves as one does: ``fields``, ``replace`` and ``asdict``
+    work, instances compare and hash by their field values within one
+    class, and assigning or deleting an attribute raises
+    ``FrozenInstanceError``.  Unlike the stdlib decorator, which compiles
+    about six methods per class with ``exec`` at import time, each subclass
+    compiles only its ``__init__``; the other methods are shared."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        doc = cls.__doc__
+        cls.__doc__ = cls.__name__  # so that dataclass derives no text of its own
+        dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+        cls.__init__, signature = _compile_init(cls)
+        cls.__doc__ = doc or cls.__name__ + signature
+        names = tuple(cls.__dataclass_fields__)
+        cls._field_values = staticmethod(
+            attrgetter(*names) if len(names) > 1
+            else lambda self: tuple(getattr(self, n) for n in names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == other._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        values = self._field_values(self)
+        inner = ", ".join(f"{name}={value!r}" for name, value
+                          in zip(self.__dataclass_fields__, values))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _compile_init(cls):
+    """The one function a value type compiles: ``__init__`` with the
+    fields as parameters, in order and with their defaults, that sets each
+    field and then calls ``__post_init__`` when the class has one.  Also
+    the signature's text, as ``inspect`` would show it, for the docstring
+    of a type that has none, as dataclass gives one."""
+    fields = cls.__dataclass_fields__.values()
+    params, shown, body = [], [], []
+    namespace = {"_object": object}
+    for f in fields:
+        if f.default_factory is not dataclasses.MISSING or not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name}: value types take plain "
+                            "defaults only")
+        shown.append(f"{f.name}: {inspect.formatannotation(f.type)}")
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_d_{f.name}"] = f.default
+            params.append(f"{f.name}=_d_{f.name}")
+            shown[-1] += f" = {f.default!r}"
+        # the statement dataclass generates, so that an instance costs what
+        # it cost as a dataclass
+        body.append(f" _object.__setattr__(self, {f.name!r}, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append(" self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body or [" pass"]),
+         namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields}
+    init.__annotations__["return"] = None
+    return init, f"({', '.join(shown)})"
+
+
+class SpacerExpr(Value):
     """Spacer count ``a*h_n + c*A_n + b`` with nonnegative integer coefficients."""
 
     a: int = 0
@@ -64,8 +143,7 @@ class SpacerExpr:
 ZERO = SpacerExpr(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class StageRule:
+class StageRule(Value):
     """One stage of the construction: ``r`` cuts, ``r - 1`` spacer expressions,
     an optional last-column spacer, and an optional accumulator increment.
 
@@ -102,8 +180,7 @@ class StageRule:
         return self.last is None or self.last.is_zero
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(Value):
     """A finitely described parameter sequence: preperiod then repeating cycle."""
 
     cycle: tuple[StageRule, ...]
@@ -149,8 +226,7 @@ class ParameterSpec:
         return (n - len(self.preperiod)) % len(self.cycle)
 
 
-@dataclass(frozen=True)
-class StageView:
+class StageView(Value):
     """A stage rule with its registers evaluated to concrete integers."""
 
     n: int
@@ -389,8 +465,7 @@ def eventual_cycle(spec: ParameterSpec) -> tuple[StageRule, ...]:
 # partial boundedness
 
 
-@dataclass(frozen=True)
-class PartialBoundednessCertificate:
+class PartialBoundednessCertificate(Value):
     """Witnesses for partial boundedness from stage N on: r_n < R_frak,
     non-final spacer differences < S_frak, and every non-final spacer at
     least the current word length."""
@@ -401,8 +476,7 @@ class PartialBoundednessCertificate:
     verified_mode: str
 
 
-@dataclass(frozen=True)
-class BoundednessRefutation:
+class BoundednessRefutation(Value):
     condition: int
     stage: int
     i: Optional[int] = None
@@ -410,8 +484,7 @@ class BoundednessRefutation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class BoundednessResult:
+class BoundednessResult(Value):
     status: str  # "certified" | "refuted" | "unknown"
     certificate: Optional[PartialBoundednessCertificate] = None
     refutation: Optional[BoundednessRefutation] = None
@@ -567,8 +640,7 @@ def certified(spec: ParameterSpec) -> PartialBoundednessCertificate:
 # the bounded-cuts / huge-last-column rewriting criterion
 
 
-@dataclass(frozen=True)
-class RewritingCriterionResult:
+class RewritingCriterionResult(Value):
     status: str  # "holds" | "fails" | "unknown"
     R_frak: Optional[int] = None
     S_frak: Optional[int] = None

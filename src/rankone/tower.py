@@ -11,13 +11,12 @@ introduced them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from . import words
 from .errors import CapExceededError, SpecError, UndefinedOrbitError
-from .params import ParameterSpec, StageTable, stage_table
+from .params import ParameterSpec, StageTable, Value, stage_table
 from .words import NameWindow, decode
 
 DEFAULT_STAGE_BUDGET = 64
@@ -25,13 +24,17 @@ OFFSET_DENOMINATOR_BITS = 53
 SAME_LEVEL_RETRIES = 100  # consecutive same-level draws before a probe gives up
 
 
-@dataclass(frozen=True)
-class TowerPoint:
+class TowerPoint(Value):
     stage: int
     level: int
     offset: Fraction
 
     def __post_init__(self):
+        if not (isinstance(self.stage, int) and isinstance(self.level, int)):
+            raise SpecError(f"stage and level must be integers, got "
+                            f"{self.stage!r} and {self.level!r}")
+        if not isinstance(self.offset, (int, Fraction)):
+            raise SpecError(f"offset must be an int or a Fraction, got {self.offset!r}")
         if not 0 <= self.offset < 1:
             raise SpecError(f"offset must lie in [0, 1), got {self.offset}")
 
@@ -152,8 +155,7 @@ def sample_point(spec: ParameterSpec, m: int, rng: Random) -> TowerPoint:
     return canonicalize(spec, TowerPoint(m, level, offset))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(Value):
     """``trials`` counts the trials done.  It falls short of the number
     asked for only when SAME_LEVEL_RETRIES draws in a row put both points
     in one level, as in a column whose points all canonicalize to the base."""

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, SpecError
-from .params import ParameterSpec, StageView, stage_table
+from .params import ParameterSpec, StageView, Value, stage_table
 
 DEFAULT_CAP = 1 << 26
 _ANCHOR = 256  # letters of a pattern that occurrences() searches for
@@ -35,8 +34,7 @@ _RUN_STEP = 512  # letters of progress the run tier may spend per run it looks a
 _RUN_SLACK = 8  # runs the run tier looks at before its rate is checked
 
 
-@dataclass(frozen=True)
-class NameWindow:
+class NameWindow(Value):
     """A finite stretch of a 0/1 itinerary: letters[i - anchor] tells whether
     the i-th image of the point lies in B_0.  ``provenance`` names the
     source: ``word:n`` for the stage word w_n, the name of column n's base
@@ -64,8 +62,7 @@ class NameWindow:
         return self.letters.decode("ascii")
 
 
-@dataclass(frozen=True)
-class WordAddress:
+class WordAddress(Value):
     """Positional decomposition of an index: the chain of copies descended
     through, ending either at the single letter of w_0 or inside a 1-run."""
 
@@ -333,8 +330,7 @@ def occurrences(pattern: bytes, text: bytes) -> list[int]:
         pos = last + m - p + 1
 
 
-@dataclass(frozen=True)
-class BuildsResult:
+class BuildsResult(Value):
     builds: bool
     gaps: Optional[tuple[int, ...]]
 
@@ -397,8 +393,7 @@ def expected_occurrences(spec: ParameterSpec, n: int, m: int) -> list[int]:
     return positions
 
 
-@dataclass(frozen=True)
-class GapInstance:
+class GapInstance(Value):
     """A 1-run separating consecutive expected copies of w_n inside w_m."""
 
     position: int  # index of the first 1

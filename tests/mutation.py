@@ -1,0 +1,89 @@
+"""Mutation check: plant known bugs one at a time and see the tests fail.
+
+    python3 tests/mutation.py
+
+It takes about five seconds.  Each entry of MUTANTS names a file, an
+exact snippet that occurs once in it, the snippet's replacement, and the
+tests to run.  For each one the script copies the checkout's ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
+mutant there, runs the tests with ``-x``, and prints "killed" when they
+fail or "survived" when they pass.  The unmutated copy must pass first.
+Exits 1 when any mutant survives.  The file name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VALUES = "src/rankone/params.py"
+CONTRACT = ["tests/test_values.py"]
+
+# (name, file, snippet, replacement, tests)
+MUTANTS = [
+    ("value-eq-across-classes", VALUES,
+     "        if other.__class__ is self.__class__:\n",
+     "        if isinstance(other, Value):\n", CONTRACT),
+    ("value-hash-drops-a-field", VALUES,
+     "        return hash(self._field_values(self))\n",
+     "        return hash(self._field_values(self)[1:])\n", CONTRACT),
+    ("value-setattr-allows-the-write", VALUES,
+     '        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")\n',
+     "        object.__setattr__(self, name, value)\n", CONTRACT),
+    ("value-init-skips-post-init", VALUES,
+     '        body.append(" self.__post_init__()")\n',
+     "        pass\n", CONTRACT),
+    ("value-default-of-the-wrong-field", VALUES,
+     '            namespace[f"_d_{f.name}"] = f.default\n',
+     '            namespace[f"_d_{f.name}"] = list(fields)[-1].default\n', CONTRACT),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _passes(tree: Path, tests: list[str]) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests], cwd=tree, capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = sorted({t for *_, ts in MUTANTS for t in ts})
+        if not _passes(clean, tests):
+            print("the unmutated tree fails its tests; nothing to measure")
+            return 2
+        survived = []
+        for name, file, snippet, replacement, tests in MUTANTS:
+            tree = Path(tmp) / name
+            _copy(tree)
+            path = tree / file
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                print(f"{name}: the snippet does not occur exactly once in {file}")
+                return 2
+            path.write_text(text.replace(snippet, replacement))
+            killed = not _passes(tree, tests)
+            print(f"{name}: {'killed' if killed else 'survived'}")
+            if not killed:
+                survived.append(name)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,299 @@
+"""The contract of the value types: every frozen record the library returns
+(certificates, occurrence records, reports, windows, points, specs).
+
+The types are found by walking rankone's modules, so a new one is covered
+without editing this file: each class defined there that declares fields
+must be a dataclass, and the short library session below must return one
+of its instances, or ``test_every_value_type_has_a_sample`` names it.
+Each sample is then checked for what callers rely on: ``fields``,
+``replace`` and ``asdict``, equality and hashing by field values within
+one class, the ``repr`` text, frozenness, copies and pickles, and
+``__match_args__``.  A fresh interpreter counts the source ``exec`` calls
+that importing the modules makes, since each one compiles code at start-up
+that every CLI call pays for."""
+
+import copy
+import dataclasses
+import importlib
+import inspect
+import json
+import os
+import pickle
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import rankone
+from rankone import cli
+from rankone.analysis import (
+    CandidatePair,
+    check_ab_law,
+    classify,
+    classify_totally,
+    corrupt_gap_pair,
+    good_density,
+    propagate_goodness,
+    shift_pair,
+)
+from rankone.errors import SpecError
+from rankone.inverseiso import (
+    check_non_isomorphism,
+    decide_inverse_isomorphic,
+    incompatible,
+    stable_rewrite,
+)
+from rankone.params import (
+    ParameterSpec,
+    SpacerExpr,
+    StageRule,
+    check_partially_bounded,
+    check_rewriting_criterion,
+    rule_at,
+)
+from rankone.registry import get_spec
+from rankone.tower import TowerPoint, canonicalize, verify_injectivity
+from rankone.words import NameWindow, build_word, builds, gap_instances, letter_at
+
+SRC = str(Path(rankone.__file__).resolve().parent.parent)
+MODULES = [importlib.import_module(f"rankone.{m.name}")
+           for m in pkgutil.iter_modules(rankone.__path__)]
+
+
+# every class that declares fields as class annotations
+TYPES = sorted((cls for module in MODULES
+                for cls in vars(module).values()
+                if isinstance(cls, type) and cls.__module__ == module.__name__
+                and cls.__dict__.get("__annotations__")),
+               key=lambda cls: (cls.__module__, cls.__name__))
+IDS = [cls.__name__ for cls in TYPES]
+
+
+def _session():
+    """Results of a short run over every module, small enough to repr."""
+    chacon = get_spec("chacon")
+    pair = shift_pair(chacon, 2, 3, 4)
+    cls = classify(pair)
+    good = next(r.index for r in cls.records if r.verdict == "good")
+    corrupt, gap = corrupt_gap_pair(chacon, 2, 4, 1, 5)
+    return [
+        chacon, rule_at(chacon, 2),
+        check_partially_bounded(chacon),
+        check_partially_bounded(get_spec("finite-odometer")),
+        check_rewriting_criterion(get_spec("chacon-raw")),
+        build_word(chacon, 2), letter_at(chacon, 2, 5), letter_at(chacon, 2, 4),
+        builds(b"0", b"00100"), gap_instances(chacon, 1, 2),
+        canonicalize(chacon, TowerPoint(1, 2, Fraction(1, 3))),
+        verify_injectivity(chacon, 3),
+        pair, cls, check_ab_law(pair, good, classification=cls),
+        propagate_goodness(pair, good, classification=cls),
+        good_density(pair, classification=cls),
+        classify_totally(pair, 3, classification=cls),
+        classify(corrupt), gap,
+        incompatible((0, 1), (1, 0)), decide_inverse_isomorphic(chacon),
+        check_non_isomorphism(chacon, get_spec("chacon-reversed")),
+        stable_rewrite(chacon, build_word(chacon, 2), 1),
+    ]
+
+
+def _collect(obj, found):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        found.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            _collect(getattr(obj, f.name), found)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _collect(item, found)
+
+
+@pytest.fixture(scope="module")
+def samples():
+    found = {}
+    _collect(_session(), found)
+    return found
+
+
+def _values(x) -> tuple:
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+def test_every_value_type_has_a_sample(samples):
+    assert len(TYPES) >= 27
+    assert [cls.__name__ for cls in TYPES if cls not in samples] == []
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_fields_and_signature(cls):
+    assert dataclasses.is_dataclass(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    assert names == list(cls.__dict__["__annotations__"])
+    assert cls.__match_args__ == tuple(names)
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == names
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING
+        else f.default for f in fields]
+    if not cls.__dict__.get("__doc__"):
+        assert cls.__doc__ == cls.__name__ + str(
+            inspect.signature(cls)).replace(" -> None", "")
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_construction_binds_each_field_and_default(cls, samples):
+    x = samples[cls]
+    assert dataclasses.is_dataclass(x) and type(x) is cls
+    fields = dataclasses.fields(cls)
+    assert cls(*_values(x)) == x
+    required = {f.name: getattr(x, f.name) for f in fields
+                if f.default is dataclasses.MISSING}
+    bare = cls(**required)
+    for f in fields:
+        want = required[f.name] if f.name in required else f.default
+        assert getattr(bare, f.name) is want
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_replace_and_asdict(cls, samples):
+    x = samples[cls]
+    y = dataclasses.replace(x)
+    assert y == x and y is not x and type(y) is cls
+    first = dataclasses.fields(cls)[0].name
+    assert dataclasses.replace(x, **{first: getattr(x, first)}) == x
+    d = dataclasses.asdict(x)
+    assert list(d) == [f.name for f in dataclasses.fields(cls)]
+    assert cli._json_default(x) == d
+    assert d == _plain(x)
+
+
+def _plain(value):
+    """What asdict makes of a value: records as dicts of their fields,
+    recursively through tuples and lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_equality_and_hash_by_field_values(cls, samples):
+    x = samples[cls]
+    assert x == dataclasses.replace(x) and not x != dataclasses.replace(x)
+    assert hash(x) == hash(_values(x)) == hash(dataclasses.replace(x))
+    assert x != _values(x)
+    # a subclass with the same fields and values is another type: unequal
+    twin = type(f"Twin{cls.__name__}", (cls,), {"__module__": __name__})
+    other = twin(*_values(x))
+    assert other != x and x != other
+    assert cls.__eq__(x, other) is NotImplemented
+    # instances differing in one field are unequal
+    for f in dataclasses.fields(cls):
+        if isinstance(getattr(x, f.name), (str, int)) \
+                and not isinstance(getattr(x, f.name), bool) \
+                and cls.__dict__.get("__post_init__") is None:
+            changed = dataclasses.replace(x, **{f.name: _bump(getattr(x, f.name))})
+            assert changed != x
+
+
+def _bump(value):
+    return value + "~" if isinstance(value, str) else value + 1
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_repr_names_every_field(cls, samples):
+    x = samples[cls]
+    inner = ", ".join(f"{f.name}={getattr(x, f.name)!r}"
+                      for f in dataclasses.fields(cls))
+    assert repr(x) == f"{cls.__qualname__}({inner})"
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_frozen(cls, samples):
+    x = samples[cls]
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.unknown_attribute = 1
+
+@pytest.mark.parametrize("clone", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_copies_and_pickles(cls, clone, samples):
+    x = samples[cls]
+    y = clone(x)
+    assert type(y) is cls and y == x and hash(y) == hash(x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(y, dataclasses.fields(cls)[0].name, None)
+
+
+def _window(letters=b"0010", anchor=0):
+    return NameWindow(anchor, letters)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SpacerExpr(-1, 0, 0),
+    lambda: SpacerExpr(0, 1.0, 0),
+    lambda: StageRule(1, ()),
+    lambda: StageRule(3, (SpacerExpr(),)),
+    lambda: ParameterSpec(()),
+    lambda: TowerPoint(1, 1, Fraction(1)),
+    lambda: TowerPoint(1, 1, Fraction(-1, 2)),
+    lambda: TowerPoint(1, "1", Fraction(1, 2)),
+    lambda: CandidatePair(get_spec("chacon"), _window(), _window(b"001"), 0, 1),
+    lambda: CandidatePair(get_spec("chacon"), _window(), _window(anchor=1), 0, 1),
+    lambda: CandidatePair(get_spec("chacon"), _window(), _window(), 1, 1),
+], ids=["expr-negative", "expr-float", "rule-r1", "rule-spacer-count",
+        "spec-empty-cycle", "point-offset-1", "point-offset-negative",
+        "point-str-level",
+        "pair-lengths", "pair-anchors", "pair-kappa"])
+def test_post_init_rejects_bad_input(make):
+    with pytest.raises(SpecError):
+        make()
+
+
+def test_float_points_fail_with_a_message():
+    chacon = get_spec("chacon")
+    with pytest.raises(SpecError, match="offset"):
+        canonicalize(chacon, TowerPoint(1, 1, 0.5))
+    with pytest.raises(SpecError, match="stage"):
+        TowerPoint(1.0, 1, Fraction(1, 2))
+    assert TowerPoint(1, 1, 0) == TowerPoint(1, 1, Fraction(0))
+
+
+EXEC_COUNT = """\
+import builtins, importlib, json, pkgutil
+import rankone
+real, calls = builtins.exec, []
+def counting(source, *args, **kwargs):
+    if isinstance(source, str):
+        calls.append(source)
+    return real(source, *args, **kwargs)
+builtins.exec = counting
+modules = [importlib.import_module(f"rankone.{m.name}")
+           for m in pkgutil.iter_modules(rankone.__path__)]
+builtins.exec = real
+types = [c for m in modules for c in vars(m).values()
+         if isinstance(c, type) and c.__module__ == m.__name__
+         and "__dataclass_fields__" in c.__dict__]
+print(json.dumps([len(calls), len(types)]))
+"""
+
+
+def test_import_compiles_at_most_one_function_per_value_type():
+    # stdlib dataclasses compile about six methods a frozen class, each
+    # with exec at import time; the value types compile their __init__ alone
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", EXEC_COUNT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    calls, types = json.loads(out)
+    assert types >= 27
+    assert calls <= types
