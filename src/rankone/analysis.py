@@ -89,10 +89,14 @@ class Classification(Value):
         return self.records[lo]
 
     def counts(self) -> tuple[int, int, int]:
-        good = sum(1 for r in self.records if r.verdict == GOOD)
-        bad = sum(1 for r in self.records if r.verdict == BAD)
-        ind = len(self.records) - good - bad
-        return good, bad, ind
+        return _tally(self.records)
+
+
+def _tally(records) -> tuple[int, int, int]:
+    """The good, bad and indeterminate records among ``records``."""
+    good = sum(1 for r in records if r.verdict == GOOD)
+    bad = sum(1 for r in records if r.verdict == BAD)
+    return good, bad, len(records) - good - bad
 
 
 def _run_is_ones(letters: bytes, start: int, stop: int) -> bool:
@@ -100,8 +104,9 @@ def _run_is_ones(letters: bytes, start: int, stop: int) -> bool:
 
 
 def _gap_after(occs, k, letters, anchor, word_len) -> Optional[int]:
-    """1-run length between occurrence k and k+1, None when unreadable."""
-    if k + 1 >= len(occs):
+    """1-run length between occurrence k and k+1, None when unreadable or
+    when either occurrence is missing."""
+    if not 0 <= k < len(occs) - 1:
         return None
     gap = occs[k + 1] - occs[k] - word_len
     if gap < 0:
@@ -206,27 +211,20 @@ def check_ab_law(
     rec = cls.record_at(i)
     if rec.verdict != GOOD:
         raise SpecError(f"occurrence at {i} is {rec.verdict}, need a good seed")
+    if direction not in ("right", "left"):
+        raise SpecError(f"direction must be 'right' or 'left', got {direction!r}")
     occs_x, occs_y = cls.x_occurrences, cls.y_occurrences
     k = bisect_left(occs_x, i)
-    p = i - rec.rho
-    kp = bisect_left(occs_y, p)
+    kp = bisect_left(occs_y, i - rec.rho)
+    # the gap after occurrence g of x, and after copy gp of y, parts i from
+    # its neighbour, occurrence j
+    g, gp, j = (k, kp, k + 1) if direction == "right" else (k - 1, kp - 1, k - 1)
+    a = _gap_after(occs_x, g, pair.x.letters, pair.x.anchor, cls.word_len)
+    b = _gap_after(occs_y, gp, pair.y.letters, pair.y.anchor, cls.word_len)
 
-    if direction == "right":
-        a = rec.next_gap
-        b = rec.image_gap
-        neighbor = occs_x[k + 1] if k + 1 < len(occs_x) else None
-    elif direction == "left":
-        a = _gap_after(occs_x, k - 1, pair.x.letters, pair.x.anchor, cls.word_len) \
-            if k > 0 else None
-        b = _gap_after(occs_y, kp - 1, pair.y.letters, pair.y.anchor, cls.word_len) \
-            if kp > 0 else None
-        neighbor = occs_x[k - 1] if k > 0 else None
-    else:
-        raise SpecError(f"direction must be 'right' or 'left', got {direction!r}")
-
-    verdict = None
-    if neighbor is not None:
-        v = cls.record_at(neighbor).verdict
+    neighbor = verdict = None
+    if 0 <= j < len(occs_x):
+        neighbor, v = occs_x[j], cls.records[j].verdict
         verdict = None if v == INDETERMINATE else v
     predicted = None if (a is None or b is None) else (a == b)
     consistent = None
@@ -356,9 +354,7 @@ def classify_totally(
         lo = bisect_left(cls.x_occurrences, j)
         hi = bisect_right(cls.x_occurrences, j + span)
         inside = cls.records[lo:hi]
-        good = sum(1 for r in inside if r.verdict == GOOD)
-        bad = sum(1 for r in inside if r.verdict == BAD)
-        ind = len(inside) - good - bad
+        good, bad, ind = _tally(inside)
         if not inside or ind:
             verdict = INDETERMINATE
         elif bad == 0:

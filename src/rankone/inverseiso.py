@@ -15,9 +15,8 @@ from typing import Optional
 from .errors import NotCertifiedError, SpecError
 from .params import (
     ParameterSpec,
-    SpacerExpr,
-    StageRule,
     Value,
+    _stage_matrix,
     certified,
     eventual_cycle,
     stage_table,
@@ -164,14 +163,6 @@ class NonIsoReport(Value):
         return self.criteria_met
 
 
-def _sum_expr(rule: StageRule) -> SpacerExpr:
-    return SpacerExpr(
-        sum(e.a for e in rule.spacers),
-        sum(e.c for e in rule.spacers),
-        sum(e.b for e in rule.spacers),
-    )
-
-
 def _cross_spread(s, t) -> int:
     return max(max(s) - min(t), max(t) - min(s))
 
@@ -218,10 +209,12 @@ def check_non_isomorphism(
         ra.effective_acc == rb.effective_acc for ra, rb in aligned
     )
 
-    # condition (1): equal cuts and equal spacer sums at every stage
+    # condition (1): equal cuts and equal spacer sums at every stage, that
+    # is equal r and equal h rows of the stage matrices
     c_used = any(e.c for ra, rb in aligned for e in ra.spacers + rb.spacers)
     symbolic_ok = all(
-        ra.r == rb.r and _sum_expr(ra) == _sum_expr(rb) for ra, rb in aligned
+        ra.r == rb.r and _stage_matrix(ra)[0] == _stage_matrix(rb)[0]
+        for ra, rb in aligned
     ) and (not c_used or acc_aligned)
     stop = pre if symbolic_ok else pre + 5 * len(aligned)
     for va, vb in zip(tableA.views(0, stop), tableB.views(0, stop)):

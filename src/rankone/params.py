@@ -16,6 +16,7 @@ import inspect
 import itertools
 import re
 import threading
+from bisect import bisect_right
 from dataclasses import replace
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -119,7 +120,7 @@ class SpacerExpr(Value):
     def __post_init__(self):
         for name in ("a", "c", "b"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise SpecError(f"negative or non-integer coefficient {name}={v!r}")
 
     def value(self, h: int, acc: int) -> int:
@@ -159,7 +160,7 @@ class StageRule(Value):
     acc: Optional[SpacerExpr] = None
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 2:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 2:
             raise SpecError(f"r must be an integer >= 2, got {self.r!r}")
         if len(self.spacers) != self.r - 1:
             raise SpecError(
@@ -261,9 +262,7 @@ def stage_views(spec: ParameterSpec) -> Iterator[StageView]:
         spacers = tuple(e.value(h, acc) for e in rule.spacers)
         last = None if rule.last is None else rule.last.value(h, acc)
         yield StageView(n, rule, h, acc, spacers, last)
-        increment = rule.effective_acc.value(h, acc)
-        h = rule.r * h + sum(spacers) + (last or 0)
-        acc += increment
+        h, acc, _ = [x * h + y * acc + z for x, y, z in _stage_matrix(rule)]
 
 
 class StageTable:
@@ -298,6 +297,24 @@ class StageTable:
         if len(self._views) < stop:
             self._fill(stop)
         return self._views[start:stop]
+
+    def locate(self, n: int, j: int):
+        """Where index j of w_n, level j of column n, sits in the recursion:
+        the (stage, copy) chain it descends through from the top down, and
+        the (stage, slot, offset) of the 1-run it ends in, None when it ends
+        at the letter of w_0.  O(n) arithmetic."""
+        h = self.view(n).h
+        if not 0 <= j < h:
+            raise SpecError(f"level {j} out of range for C_{n} (height {h})")
+        path = []
+        for m in range(n - 1, -1, -1):
+            view = self._views[m]
+            k = bisect_right(view.offsets, j) - 1
+            j -= view.offsets[k]
+            if j >= view.h:
+                return tuple(path), (view.n, k, j - view.h)
+            path.append((view.n, k))
+        return tuple(path), None
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -386,6 +403,9 @@ def reversed_parameters(spec: ParameterSpec) -> ParameterSpec:
 
 
 def _stage_matrix(rule: StageRule) -> list[list[int]]:
+    """M with (h, A, 1)_{n+1} = M (h, A, 1)_n at a stage of this rule: the
+    one register recurrence, which stage_views evaluates and the symbolic
+    checks compose."""
     exprs = rule.spacers + ((rule.last,) if rule.last is not None else ())
     h_row = [
         rule.r + sum(e.a for e in exprs),

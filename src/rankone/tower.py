@@ -10,13 +10,12 @@ introduced them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from random import Random
 
 from . import words
 from .errors import CapExceededError, SpecError, UndefinedOrbitError
-from .params import ParameterSpec, StageTable, Value, stage_table
+from .params import ParameterSpec, Value, stage_table
 from .words import NameWindow, decode
 
 DEFAULT_STAGE_BUDGET = 64
@@ -30,7 +29,8 @@ class TowerPoint(Value):
     offset: Fraction
 
     def __post_init__(self):
-        if not (isinstance(self.stage, int) and isinstance(self.level, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.stage, self.level)):
             raise SpecError(f"stage and level must be integers, got "
                             f"{self.stage!r} and {self.level!r}")
         if not isinstance(self.offset, (int, Fraction)):
@@ -52,35 +52,27 @@ def parse_point(text: str) -> TowerPoint:
         raise SpecError(f"bad point {text!r}; expected n:j:p/q") from exc
 
 
-def _check_level(table: StageTable, stage: int, level: int):
-    h = table.view(stage).h
-    if not 0 <= level < h:
-        raise SpecError(f"level {level} out of range for C_{stage} (height {h})")
-
-
 def canonicalize(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
-    """Rewrite p at the smallest stage whose column contains it."""
+    """Rewrite p at the smallest stage whose column contains it: the copies
+    its level descends through, down to a spacer level or the base."""
     table = stage_table(spec)
-    _check_level(table, p.stage, p.level)
-    stage, level, u = p.stage, p.level, p.offset
-    while stage > 0:
-        below = table.view(stage - 1)
-        k = bisect_right(below.offsets, level) - 1
-        if level - below.offsets[k] >= below.h:
-            break  # a spacer level introduced at stage - 1
+    path, _ = table.locate(p.stage, p.level)
+    level, u = p.level, p.offset
+    for stage, k in path:
+        below = table.view(stage)
         level -= below.offsets[k]
         u = Fraction(k + u, below.r)
-        stage -= 1
-    return TowerPoint(stage, level, u)
+    return TowerPoint(p.stage - len(path), level, u)
 
 
 def refine(spec: ParameterSpec, p: TowerPoint) -> TowerPoint:
     """The same point in stage n+1 coordinates: pick the subcolumn the offset
     falls into and shift the level past the earlier subcolumns and their
     spacers."""
-    table = stage_table(spec)
-    _check_level(table, p.stage, p.level)
-    view = table.view(p.stage)
+    view = stage_table(spec).view(p.stage)
+    if not 0 <= p.level < view.h:
+        raise SpecError(f"level {p.level} out of range for C_{p.stage} "
+                        f"(height {view.h})")
     k = int(p.offset * view.r)
     new_level = p.level + view.offsets[k]
     return TowerPoint(p.stage + 1, new_level, p.offset * view.r - k)

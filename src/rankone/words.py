@@ -157,27 +157,12 @@ def build_word(spec: ParameterSpec, n: int) -> NameWindow:
 
 
 def letter_at(spec: ParameterSpec, n: int, j: int) -> tuple[int, WordAddress]:
-    """The letter w_n[j] plus the address that produced it, in O(n) arithmetic.
-
-    Descends the recursion: locate j among the r_{m-1} copies of w_{m-1} and
-    the 1-runs between them, then recurse into the copy hit.
-    """
-    views = _views(spec, n)
-    if not 0 <= j < views[n].h:
-        raise SpecError(f"index {j} out of range for |w_{n}| = {views[n].h}")
-    path = []
-    pos = j
-    for m in range(n, 0, -1):
-        view = views[m - 1]
-        k = bisect_right(view.offsets, pos) - 1
-        pos -= view.offsets[k]
-        if pos >= view.h:
-            addr = WordAddress(
-                stage=n, index=j, path=tuple(path), spacer=(m - 1, k, pos - view.h)
-            )
-            return 1, addr
-        path.append((m - 1, k))
-    return 0, WordAddress(stage=n, index=j, path=tuple(path), spacer=None)
+    """The letter w_n[j] plus the address that produced it, in O(n) arithmetic:
+    the descent of ``StageTable.locate`` through the copies of w_{m-1} and
+    the 1-runs between them, which ends in a 1-run or at the 0 of w_0."""
+    _views(spec, n)  # refuses raw specs
+    path, spacer = stage_table(spec).locate(n, j)
+    return int(spacer is not None), WordAddress(n, j, path, spacer)
 
 
 def _period_bound(pattern: bytes) -> tuple[int, bool]:

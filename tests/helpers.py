@@ -90,6 +90,26 @@ def random_palindromic_certified_spec(rng: Random) -> ParameterSpec:
 
 
 # ---------------------------------------------------------------------------
+# register oracle
+
+
+def oracle_registers(spec: ParameterSpec, stop: int) -> list[tuple[int, int]]:
+    """(h_n, A_n) for the stages n < stop, read straight off the spec's own
+    rules: each stage stacks r copies and places every spacer, the last
+    column's included, and A grows by acc, or else by last, or else by 0."""
+    def value(e):
+        return 0 if e is None else e.a * h + e.c * acc + e.b
+
+    h, acc, out = 1, 0, []
+    for n in range(stop):
+        out.append((h, acc))
+        rule = spec.rule_schedule(n)
+        h, acc = (rule.r * h + sum(map(value, rule.spacers)) + value(rule.last),
+                  acc + value(rule.acc if rule.acc is not None else rule.last))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # word-level oracles
 
 

@@ -2,7 +2,7 @@
 
     python3 tests/mutation.py
 
-It takes about five seconds.  Each entry of MUTANTS names a file, an
+It takes about twenty seconds.  Each entry of MUTANTS names a file, an
 exact snippet that occurs once in it, the snippet's replacement, and the
 tests to run.  For each one the script copies the checkout's ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
@@ -21,7 +21,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VALUES = "src/rankone/params.py"
+VALUES = PARAMS = "src/rankone/params.py"
+ANALYSIS = "src/rankone/analysis.py"
 CONTRACT = ["tests/test_values.py"]
 
 # (name, file, snippet, replacement, tests)
@@ -41,6 +42,32 @@ MUTANTS = [
     ("value-default-of-the-wrong-field", VALUES,
      '            namespace[f"_d_{f.name}"] = f.default\n',
      '            namespace[f"_d_{f.name}"] = list(fields)[-1].default\n', CONTRACT),
+    # one per primitive that several callers share
+    ("locate-first-run-letter-in-the-copy", PARAMS,
+     "            if j >= view.h:\n",
+     "            if j > view.h:\n",
+     ["tests/test_words.py::test_letter_at_matches_build_word",
+      "tests/test_tower.py::test_refine_is_invertible_by_canonicalize"]),
+    ("stage-matrix-A-row-drops-A", PARAMS,
+     "    a_row = [inc.a, 1 + inc.c, inc.b]\n",
+     "    a_row = [inc.a, inc.c, inc.b]\n",
+     ["tests/test_params.py::test_heights_chacon_normalized"]),
+    ("period-matrix-multiplies-in-the-wrong-order", PARAMS,
+     "        m = _mat_mul(_stage_matrix(spec.cycle[(position + k) % period]), m)\n",
+     "        m = _mat_mul(m, _stage_matrix(spec.cycle[(position + k) % period]))\n",
+     ["tests/test_params.py::test_period_matrix_advances_the_registers_by_one_period"]),
+    ("ab-law-left-neighbour-is-the-seed", ANALYSIS,
+     "(k - 1, kp - 1, k - 1)",
+     "(k - 1, kp - 1, k)",
+     ["tests/test_analysis.py::test_ab_law_reads_both_neighbours_against_the_oracle"]),
+    ("tally-counts-bad-as-indeterminate", ANALYSIS,
+     "    return good, bad, len(records) - good - bad\n",
+     "    return good, bad, len(records) - good\n",
+     ["tests/test_analysis.py::test_dichotomy_after_totally_good"]),
+    ("condition-1-compares-the-A-rows", "src/rankone/inverseiso.py",
+     "_stage_matrix(ra)[0] == _stage_matrix(rb)[0]",
+     "_stage_matrix(ra)[1] == _stage_matrix(rb)[1]",
+     ["tests/test_inverseiso.py::test_cycle_spacer_sums_that_differ_fail_condition1"]),
 ]
 
 

@@ -336,6 +336,52 @@ def test_ab_law_matches_oracle_gap_reads():
             assert rec.a == a
 
 
+def _oracle_gap_before(letters: bytes, start: int, wn: bytes):
+    """oracle_gap_after read right to left: the 1-run that ends at start,
+    with a copy of wn before it."""
+    return oracle_gap_after(letters[::-1], len(letters) - start, wn[::-1])
+
+
+def test_ab_law_reads_both_neighbours_against_the_oracle():
+    # each direction names the adjacent occurrence in x and its verdict, and
+    # reads the gap between the two in x and beside the containing copy in y
+    chacon = get_spec("chacon")
+    wn = build_word(chacon, 2).letters
+    window = padded_block_window(chacon, 2, 4, 5, kappa=1)
+    g = next(gg for gg in gap_instances(chacon, 2, 4) if gg.stage == 2
+             and gg.length == 30)
+    pairs = [shift_pair(chacon, 2, 3, 5),
+             spliced_pair(chacon, 2, 1, window, g.position - window.anchor,
+                          g.length, g.length - 1)]
+    checked = 0
+    for pair in pairs:
+        cls = classify(pair)
+        x, y, anchor = pair.x.letters, pair.y.letters, pair.x.anchor
+        occs = [i + anchor for i in oracle_occurrences(wn, x)]
+        verdicts = oracle_verdicts(pair)
+        for k, i in enumerate(occs):
+            if verdicts[i][0] != GOOD:
+                continue
+            p = i - verdicts[i][1] - anchor
+            for direction, j, a, b in (
+                ("right", k + 1, oracle_gap_after(x, i - anchor + len(wn), wn),
+                 oracle_gap_after(y, p + len(wn), wn)),
+                ("left", k - 1, _oracle_gap_before(x, i - anchor, wn),
+                 _oracle_gap_before(y, p, wn)),
+            ):
+                rec = check_ab_law(pair, i, direction, classification=cls)
+                neighbor = occs[j] if 0 <= j < len(occs) else None
+                assert rec.neighbor_index == neighbor
+                if neighbor is not None and verdicts[neighbor][0] != INDETERMINATE:
+                    assert rec.neighbor_verdict == verdicts[neighbor][0]
+                if rec.a is not None:
+                    assert rec.a == a
+                if rec.b is not None:
+                    assert rec.b == b
+                checked += rec.a is not None and rec.b is not None
+    assert checked > 20
+
+
 # ---------------------------------------------------------------------------
 # propagation, density, dichotomy
 

@@ -90,6 +90,16 @@ def test_check_refutation_from_file(capsys, tmp_path):
     assert "condition 3" in out
 
 
+def test_check_undecided_spec_exits_inconclusive(capsys, tmp_path):
+    config = tmp_path / "undecided.cfg"
+    config.write_text("cycle: [r=2, s=(1A+3), acc=1h+1A+6]\n")
+    code, out, _ = run(capsys, "check", "--spec", str(config))
+    assert code == 3
+    assert out.splitlines() == [
+        "partially bounded: unknown (condition (3) undecided for cycle rule 0 "
+        "slot 0 within 64 periods; fall back to numeric mode)"]
+
+
 def test_check_numeric_mode(capsys):
     code, out, _ = run(capsys, "check", "--spec", "chacon", "--to", "12")
     assert code == 0 and "numeric-up-to(12)" in out

@@ -288,6 +288,17 @@ def test_non_isomorphism_different_cuts_fails_condition1():
     assert report.status == "condition1_fails"
 
 
+def test_cycle_spacer_sums_that_differ_fail_condition1():
+    # equal cuts and spacers that grow alike, but at every stage the second
+    # spec places one spacer more
+    spec_a = parse_spec("cycle: [r=3, s=(1h, 1h)]")
+    spec_b = parse_spec("cycle: [r=3, s=(1h, 1h+1)]")
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert report.status == "condition1_fails"
+    assert report.commensurable is False
+    assert report.detail == "stage 0: cuts or spacer sums differ"
+
+
 def test_preperiod_stages_compared_concretely():
     # A's preperiod reads A_0 = 0, not the eventual A = 1, so the stage-0
     # spacer sums are 2 and 3 and the systems are never commensurable

@@ -17,10 +17,12 @@ from rankone.errors import (
 )
 from rankone.params import (
     SPEC_CACHE_SIZE,
+    SYMBOLIC_HORIZON,
     BoundednessRefutation,
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    _period_matrix,
     certified,
     check_rewriting_criterion,
     check_partially_bounded,
@@ -38,6 +40,7 @@ from rankone.registry import get_spec, names
 from rankone.words import build_word
 
 from helpers import (
+    oracle_registers,
     random_certified_spec,
     random_growth_spec,
     random_normalized_spec,
@@ -473,6 +476,39 @@ def test_symbolic_verdicts_hold_numerically():
                 n = num.certificate
                 assert n.N <= c.N and n.R_frak <= c.R_frak and n.S_frak <= c.S_frak
     assert counts["certified"] > 1500 and counts["refuted"] > 150
+
+
+def test_period_matrix_advances_the_registers_by_one_period():
+    # property (a): at each cycle position, the period matrix takes
+    # (h, A, 1) at stage t0 + pos + kP to the registers one period later
+    rng = Random(13)
+    makers = (random_normalized_spec, random_certified_spec, random_growth_spec)
+    checks = 0
+    for i in range(600):
+        spec = makers[i % 3](rng)
+        t0, period = len(spec.preperiod), len(spec.cycle)
+        registers = oracle_registers(spec, t0 + 8 * period)
+        for pos in range(period):
+            m = _period_matrix(spec, pos)
+            for k in range(6):
+                n = t0 + pos + k * period
+                h, acc = registers[n]
+                moved = [x * h + y * acc + z for x, y, z in m]
+                assert moved == [*registers[n + period], 1], (spec, pos, k)
+                checks += 1
+    assert checks > 6000
+
+
+def test_undecided_condition_3_is_reported_unknown():
+    # the row of s - h is (-1, 1, 3); the period matrix fixes (-1, 1), so
+    # the h term stays negative and the componentwise test never settles
+    spec = parse_spec("cycle: [r=2, s=(1A+3), acc=1h+1A+6]")
+    result = check_partially_bounded(spec)
+    assert result.status == "unknown"
+    assert result.certificate is None and result.refutation is None
+    assert result.detail == (
+        "condition (3) undecided for cycle rule 0 slot 0 within "
+        f"{SYMBOLIC_HORIZON} periods; fall back to numeric mode")
 
 
 def test_numeric_mode_rejects_negative_horizon():

@@ -52,10 +52,12 @@ from rankone.params import (
     StageRule,
     check_partially_bounded,
     check_rewriting_criterion,
+    parse_spec,
     rule_at,
+    serialize_spec,
 )
 from rankone.registry import get_spec
-from rankone.tower import TowerPoint, canonicalize, verify_injectivity
+from rankone.tower import TowerPoint, canonicalize, parse_point, verify_injectivity
 from rankone.words import NameWindow, build_word, builds, gap_instances, letter_at
 
 SRC = str(Path(rankone.__file__).resolve().parent.parent)
@@ -251,10 +253,17 @@ def _window(letters=b"0010", anchor=0):
     lambda: CandidatePair(get_spec("chacon"), _window(), _window(b"001"), 0, 1),
     lambda: CandidatePair(get_spec("chacon"), _window(), _window(anchor=1), 0, 1),
     lambda: CandidatePair(get_spec("chacon"), _window(), _window(), 1, 1),
+    lambda: SpacerExpr(True, 0, 2),
+    lambda: SpacerExpr(0, False, 0),
+    lambda: StageRule(True, ()),
+    lambda: TowerPoint(True, 0, Fraction(1, 2)),
+    lambda: TowerPoint(0, False, Fraction(1, 2)),
 ], ids=["expr-negative", "expr-float", "rule-r1", "rule-spacer-count",
         "spec-empty-cycle", "point-offset-1", "point-offset-negative",
         "point-str-level",
-        "pair-lengths", "pair-anchors", "pair-kappa"])
+        "pair-lengths", "pair-anchors", "pair-kappa",
+        "expr-bool-a", "expr-bool-c", "rule-bool-r", "point-bool-stage",
+        "point-bool-level"])
 def test_post_init_rejects_bad_input(make):
     with pytest.raises(SpecError):
         make()
@@ -267,6 +276,21 @@ def test_float_points_fail_with_a_message():
     with pytest.raises(SpecError, match="stage"):
         TowerPoint(1.0, 1, Fraction(1, 2))
     assert TowerPoint(1, 1, 0) == TowerPoint(1, 1, Fraction(0))
+
+
+def test_accepted_coefficients_and_points_round_trip_through_text():
+    # bool is an int, and once passed the checks only to print as "True",
+    # text that parse_spec and parse_point refuse
+    for v in (0, 3, True, False):
+        try:
+            rule = StageRule(2, (SpacerExpr(v, 1, 2),), acc=SpacerExpr(b=v))
+            spec = ParameterSpec((rule,))
+            point = TowerPoint(v, v, Fraction(1, 2))
+        except SpecError:
+            assert isinstance(v, bool)
+            continue
+        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_point(str(point)) == point
 
 
 EXEC_COUNT = """\
