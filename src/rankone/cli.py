@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 # Each subcommand imports the modules it reads, so a call pays at start-up
 # only for its own: ``check`` and ``normalize`` load no module but these.
-# ``json`` and ``fractions`` are imported only where they are used.
+# ``json`` is imported only where it is used, and ``fractions`` only by
+# the modules that make Fractions.
 from . import params, registry
 from .errors import RankOneError
 
@@ -57,15 +57,25 @@ def _fraction(x) -> str:
 def _json_default(obj):
     """JSON for the result types ``json`` does not know; anything else is a
     defect in a subcommand's payload."""
-    from fractions import Fraction
-
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
-    if isinstance(obj, Fraction):
+    if isinstance(obj, params.Value):
+        return _plain(obj)
+    # a Fraction exists only when its module was loaded
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return _fraction(obj)
     if isinstance(obj, bytes):
         return obj.decode("ascii")
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _plain(value):
+    """What ``dataclasses.asdict`` makes of a value: a record as the dict
+    of its fields, recursively through tuples and lists."""
+    if isinstance(value, params.Value):
+        return {name: _plain(getattr(value, name)) for name in value.__match_args__}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(item) for item in value)
+    return value
 
 
 def _verdict(holds: bool | None) -> int:

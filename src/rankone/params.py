@@ -11,13 +11,10 @@ closed under moving last-column spacers to later stages.
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import itertools
 import re
 import threading
 from bisect import bisect_right
-from dataclasses import replace
 from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterator, Optional
@@ -33,6 +30,29 @@ MAX_STAGE = 4096  # highest stage a table holds: its memory grows as stage^2
 # domain types
 
 
+_MISSING = object()  # a field without a default
+_FIELDS_LOCK = threading.RLock()
+
+
+class _LazyFields:
+    """``__dataclass_fields__`` of a value type, made on first access: the
+    descriptor imports ``dataclasses`` and registers the class with it,
+    once, which replaces the descriptor by the class's own field table.
+    Any caller of ``fields``, ``replace``, ``asdict`` or ``is_dataclass``
+    has imported ``dataclasses`` already, so a process that never calls
+    them never loads it.  On ``Value`` itself it raises AttributeError,
+    as there it is no dataclass."""
+
+    def __get__(self, instance, owner):
+        if owner is Value:
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+        with _FIELDS_LOCK:  # reentrant: a subclass registers its bases first
+            if owner.__dict__.get("__dataclass_fields__", self) is self:
+                dataclasses.dataclass(init=False, repr=False, eq=False)(owner)
+        return owner.__dict__["__dataclass_fields__"]
+
+
 class Value:
     """Base of the frozen value types: a subclass declares its fields as
     class annotations, with optional defaults, as for ``@dataclass(frozen=
@@ -41,19 +61,34 @@ class Value:
     class, and assigning or deleting an attribute raises
     ``FrozenInstanceError``.  Unlike the stdlib decorator, which compiles
     about six methods per class with ``exec`` at import time, each subclass
-    compiles only its ``__init__``; the other methods are shared."""
+    compiles only its ``__init__``; the other methods are shared, and the
+    class registers its fields with ``dataclasses`` on first use."""
+
+    __dataclass_fields__ = _LazyFields()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        doc = cls.__doc__
-        cls.__doc__ = cls.__name__  # so that dataclass derives no text of its own
-        dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
-        cls.__init__, signature = _compile_init(cls)
-        cls.__doc__ = doc or cls.__name__ + signature
-        names = tuple(cls.__dataclass_fields__)
+        # the fields in dataclass order: a base's before the class's own
+        fields = {}
+        for base in reversed(cls.__mro__):
+            if issubclass(base, Value):
+                annotations = base.__dict__.get("__annotations__", {})
+                for name, annotation in annotations.items():
+                    fields[name] = annotation, getattr(base, name, _MISSING)
+        cls.__match_args__ = tuple(fields)
+        cls.__dataclass_fields__ = Value.__dict__["__dataclass_fields__"]
+        cls.__init__, signature = _compile_init(cls, fields)
+        cls.__doc__ = cls.__doc__ or cls.__name__ + signature
+        names = cls.__match_args__
         cls._field_values = staticmethod(
             attrgetter(*names) if len(names) > 1
             else lambda self: tuple(getattr(self, n) for n in names))
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, as ``dataclasses.replace``
+        makes it."""
+        return self.__class__(**dict(zip(self.__match_args__,
+                                         self._field_values(self)), **changes))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -66,46 +101,50 @@ class Value:
     def __repr__(self):
         values = self._field_values(self)
         inner = ", ".join(f"{name}={value!r}" for name, value
-                          in zip(self.__dataclass_fields__, values))
+                          in zip(self.__match_args__, values))
         return f"{self.__class__.__qualname__}({inner})"
 
     def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _compile_init(cls):
+def _compile_init(cls, fields):
     """The one function a value type compiles: ``__init__`` with the
     fields as parameters, in order and with their defaults, that sets each
     field and then calls ``__post_init__`` when the class has one.  Also
-    the signature's text, as ``inspect`` would show it, for the docstring
-    of a type that has none, as dataclass gives one."""
-    fields = cls.__dataclass_fields__.values()
+    the signature's text for the docstring of a type that has none, as
+    dataclass gives one; an annotation is text (the modules postpone their
+    evaluation), so its repr is what the signature shows."""
     params, shown, body = [], [], []
     namespace = {"_object": object}
-    for f in fields:
-        if f.default_factory is not dataclasses.MISSING or not f.init:
-            raise TypeError(f"{cls.__name__}.{f.name}: value types take plain "
-                            "defaults only")
-        shown.append(f"{f.name}: {inspect.formatannotation(f.type)}")
-        if f.default is dataclasses.MISSING:
-            params.append(f.name)
+    for name, (annotation, default) in fields.items():
+        shown.append(f"{name}: {annotation!r}")
+        if default is _MISSING:
+            params.append(name)
+        elif (type(default).__module__ == "dataclasses"
+              or type(default).__hash__ is None):
+            raise TypeError(f"{cls.__name__}.{name}: value types take plain, "
+                            "hashable defaults only")
         else:
-            namespace[f"_d_{f.name}"] = f.default
-            params.append(f"{f.name}=_d_{f.name}")
-            shown[-1] += f" = {f.default!r}"
+            namespace[f"_d_{name}"] = default
+            params.append(f"{name}=_d_{name}")
+            shown[-1] += f" = {default!r}"
         # the statement dataclass generates, so that an instance costs what
         # it cost as a dataclass
-        body.append(f" _object.__setattr__(self, {f.name!r}, {f.name})")
+        body.append(f" _object.__setattr__(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append(" self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body or [" pass"]),
          namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fields}
+    init.__annotations__ = {name: annotation
+                            for name, (annotation, _) in fields.items()}
     init.__annotations__["return"] = None
     return init, f"({', '.join(shown)})"
 
@@ -387,7 +426,7 @@ def normalize(spec: ParameterSpec) -> ParameterSpec:
 def reversed_parameters(spec: ParameterSpec) -> ParameterSpec:
     """The spec with every spacer tuple reversed (heights are unchanged)."""
     def rev(rule: StageRule) -> StageRule:
-        return replace(rule, spacers=tuple(reversed(rule.spacers)))
+        return rule.replace(spacers=tuple(reversed(rule.spacers)))
 
     name = f"{spec.name}-reversed" if spec.name else None
     return ParameterSpec(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 from .errors import SpecError
@@ -34,9 +33,9 @@ def get_spec(name: str) -> ParameterSpec:
     if name in _RAW_CONFIGS:
         return parse_spec(_RAW_CONFIGS[name])
     if name in ("chacon", "hk"):
-        return replace(normalize(get_spec(f"{name}-raw")), name=name)
+        return normalize(get_spec(f"{name}-raw")).replace(name=name)
     if name == "chacon-reversed":
-        return replace(reversed_parameters(get_spec("chacon")), name=name)
+        return reversed_parameters(get_spec("chacon")).replace(name=name)
     raise SpecError(
         f"unknown registry spec {name!r}; available: {', '.join(names())}"
     )

@@ -89,6 +89,30 @@ def random_palindromic_certified_spec(rng: Random) -> ParameterSpec:
     return ParameterSpec(cycle=tuple(rule() for _ in range(rng.randint(1, 2))))
 
 
+def random_full_grammar_spec(rng: Random) -> ParameterSpec:
+    """Any spec the grammar writes: half raw, each rule with a last column,
+    half normalized, 60% of their rules with an accumulator increment.  A
+    coefficient is drawn from 0-3 for h and 0-2 for A, a constant from 0-6,
+    or one time in three from 0-100; r runs from 2 to 5, a preperiod has
+    0-2 rules and a cycle 1-3."""
+    raw = rng.random() < 0.5
+
+    def expr():
+        b = rng.randint(0, 100 if rng.random() < 1 / 3 else 6)
+        return SpacerExpr(rng.randint(0, 3), rng.randint(0, 2), b)
+
+    def rule():
+        r = rng.randint(2, 5)
+        spacers = tuple(expr() for _ in range(r - 1))
+        if raw:
+            return StageRule(r, spacers, last=expr())
+        return StageRule(r, spacers, acc=expr() if rng.random() < 0.6 else None)
+
+    preperiod = tuple(rule() for _ in range(rng.randint(0, 2)))
+    return ParameterSpec(cycle=tuple(rule() for _ in range(rng.randint(1, 3))),
+                         preperiod=preperiod)
+
+
 # ---------------------------------------------------------------------------
 # register oracle
 

@@ -34,14 +34,23 @@ MUTANTS = [
      "        return hash(self._field_values(self))\n",
      "        return hash(self._field_values(self)[1:])\n", CONTRACT),
     ("value-setattr-allows-the-write", VALUES,
-     '        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")\n',
+     '        raise FrozenInstanceError(f"cannot assign to field {name!r}")\n',
      "        object.__setattr__(self, name, value)\n", CONTRACT),
     ("value-init-skips-post-init", VALUES,
      '        body.append(" self.__post_init__()")\n',
      "        pass\n", CONTRACT),
     ("value-default-of-the-wrong-field", VALUES,
-     '            namespace[f"_d_{f.name}"] = f.default\n',
-     '            namespace[f"_d_{f.name}"] = list(fields)[-1].default\n', CONTRACT),
+     '            namespace[f"_d_{name}"] = default\n',
+     '            namespace[f"_d_{name}"] = list(fields.values())[-1][1]\n', CONTRACT),
+    # the lazy dataclass registration and the JSON walk that replaced asdict
+    ("value-subclass-reads-its-base-field-table", VALUES,
+     '        cls.__dataclass_fields__ = Value.__dict__["__dataclass_fields__"]\n',
+     "        pass\n",
+     ["tests/test_values.py::test_subclass_registers_its_own_fields"]),
+    ("json-default-stops-below-the-first-level", "src/rankone/cli.py",
+     "return {name: _plain(getattr(value, name)) for name",
+     "return {name: getattr(value, name) for name",
+     ["tests/test_values.py::test_replace_and_asdict"]),
     # one per primitive that several callers share
     ("locate-first-run-letter-in-the-copy", PARAMS,
      "            if j >= view.h:\n",
@@ -68,6 +77,10 @@ MUTANTS = [
      "_stage_matrix(ra)[0] == _stage_matrix(rb)[0]",
      "_stage_matrix(ra)[1] == _stage_matrix(rb)[1]",
      ["tests/test_inverseiso.py::test_cycle_spacer_sums_that_differ_fail_condition1"]),
+    ("eventual-sign-refutation-loses-its-minus-one", PARAMS,
+     "    refute = [-row[0], -row[1], -row[2] - 1]\n",
+     "    refute = [-row[0], -row[1], -row[2]]\n",
+     ["tests/test_params.py::test_eventual_sign_claims_hold_at_every_period_they_cover"]),
 ]
 
 

@@ -2,7 +2,9 @@
 exist, or every benchmark job fails; the package's public names must all
 resolve to their modules' objects; and a CLI call must import only the
 modules its subcommand reads, or every call pays for all of them at
-start-up.  The job runners are read with ``ast``, not run."""
+start-up; no import loads ``dataclasses`` or ``inspect``, yet the value
+types keep their dataclass contract once a caller loads ``dataclasses``.
+The job runners are read with ``ast``, not run."""
 
 import ast
 import importlib
@@ -103,7 +105,7 @@ LOADED = ("import contextlib, io, sys\n"
           "with contextlib.redirect_stdout(io.StringIO()):\n"
           "    cli.main(sys.argv[1:])\n"
           "loaded = sorted(m for m in sys.modules if m.startswith('rankone.')\n"
-          "                or m in ('json', 'fractions'))\n"
+          "                or m in ('json', 'fractions', 'dataclasses', 'inspect'))\n"
           "import json\n"
           "print(json.dumps(loaded))")
 BASE = {"errors", "params", "registry"}
@@ -123,12 +125,77 @@ STDLIB = {"json", "fractions"}  # named as they are, not as rankone modules
      {"analysis", "words", "fractions"}),
     ("inverse --spec hk", {"inverseiso", "words"}),
     ("check --spec chacon", set()),
-    ("--format json check --spec chacon", {"json", "fractions"}),
+    ("--format json check --spec chacon", {"json"}),
 ])
 def test_cli_call_imports_only_its_subcommand_modules(argv, extra):
+    # dataclasses and inspect are never among them: the value types
+    # register with dataclasses only when a caller asks for their fields
     loaded = _fresh(LOADED, *argv.split())
     rankone_modules = BASE | (extra - STDLIB) | {"cli"}
     assert set(loaded) == {f"rankone.{m}" for m in rankone_modules} | (extra & STDLIB)
+
+
+DATACLASS_CONTRACT = """\
+import copy, importlib, json, pickle, sys, threading
+import rankone
+names = ["analysis", "cli", "errors", "inverseiso", "params", "registry",
+         "tower", "words"]
+modules = [importlib.import_module(f"rankone.{name}") for name in names]
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+import pkgutil  # listing a package loads inspect
+assert names == sorted(m.name for m in pkgutil.iter_modules(rankone.__path__))
+
+import dataclasses
+from fractions import Fraction
+from rankone.analysis import good_density, shift_pair
+from rankone.inverseiso import incompatible
+from rankone.params import SpacerExpr, Value
+from rankone.tower import TowerPoint
+from rankone.words import NameWindow
+samples = [SpacerExpr(1, 0, 2), NameWindow(0, b"0010"),
+           TowerPoint(1, 2, Fraction(1, 3)), incompatible((0, 1), (1, 0)),
+           good_density(shift_pair(rankone.get_spec("chacon"), 2, 3, 4))]
+checked = []
+for x in samples:
+    fields = [f.name for f in dataclasses.fields(x)]
+    assert dataclasses.is_dataclass(x) and dataclasses.is_dataclass(type(x))
+    assert fields == list(type(x).__match_args__)
+    assert list(dataclasses.asdict(x)) == fields
+    assert dataclasses.replace(x) == x and dataclasses.replace(x) is not x
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert clone == x and dataclasses.fields(clone) == dataclasses.fields(x)
+    checked.append(type(x).__module__)
+assert not dataclasses.is_dataclass(Value)
+
+class Fresh(Value):
+    a: int
+    b: str = "b"
+
+barrier, seen = threading.Barrier(4), []
+def first_access():
+    barrier.wait()
+    seen.append(dataclasses.fields(Fresh))
+threads = [threading.Thread(target=first_access) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+same = len(seen) == 4 and all(
+    len(f) == 2 and all(x is y for x, y in zip(f, seen[0])) for f in seen)
+print(json.dumps([len(modules), loaded, sorted(set(checked)), same,
+                  [f.name for f in seen[0]]]))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect_until_asked():
+    count, loaded, checked, same, names = _fresh(DATACLASS_CONTRACT)
+    assert count == 8
+    assert loaded == []
+    # one record per module that defines value types
+    assert checked == ["rankone.analysis", "rankone.inverseiso",
+                       "rankone.params", "rankone.tower", "rankone.words"]
+    # four threads asking for a new type's fields at once get one table
+    assert same and names == ["a", "b"]
 
 
 def test_bare_import_loads_no_submodule():

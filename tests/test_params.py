@@ -22,6 +22,7 @@ from rankone.params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    _eventual_sign,
     _period_matrix,
     certified,
     check_rewriting_criterion,
@@ -42,6 +43,7 @@ from rankone.words import build_word
 from helpers import (
     oracle_registers,
     random_certified_spec,
+    random_full_grammar_spec,
     random_growth_spec,
     random_normalized_spec,
     random_palindromic_certified_spec,
@@ -497,6 +499,59 @@ def test_period_matrix_advances_the_registers_by_one_period():
                 assert moved == [*registers[n + period], 1], (spec, pos, k)
                 checks += 1
     assert checks > 6000
+
+
+def _claimed_rows(rule):
+    """(row, value) for each row the deciders hand to _eventual_sign at a
+    stage of this rule: s(i) - h for each spacer (condition (3)), and
+    2 * last - h_next for the last column when there is one.  value(h, A,
+    h_next) is the row's quantity, computed in integers."""
+    rows = [([e.a - 1, e.c, e.b], lambda h, acc, _, e=e: e.value(h, acc) - h)
+            for e in rule.spacers]
+    if rule.last is not None:
+        exprs = rule.spacers + (rule.last,)
+        last = rule.last
+        rows.append(([2 * last.a - rule.r - sum(e.a for e in exprs),
+                      2 * last.c - sum(e.c for e in exprs),
+                      2 * last.b - sum(e.b for e in exprs)],
+                     lambda h, acc, h_next: 2 * last.value(h, acc) - h_next))
+    return rows
+
+
+def test_eventual_sign_claims_hold_at_every_period_they_cover():
+    # property (b): "holds" at W claims the row's quantity is >= 0, and
+    # "fails" that it is <= -1, at stage t0 + pos + kP for every k >= W;
+    # each claim is checked for k from W to W + 40 against the registers
+    # of oracle_registers, without the deciders
+    rng = Random(29)
+    specs = [random_full_grammar_spec(rng) for _ in range(600)]
+    # A pinned at 0 and a last column of exactly half the next height: the
+    # row (0, -1, 0) reads 0 at every stage, the edge between the two claims
+    specs += [ParameterSpec((StageRule(2, (SpacerExpr(0, c, b),),
+                                       last=SpacerExpr(la, lc, lb),
+                                       acc=SpacerExpr()),))
+              for la, lc, lb, c, b in itertools.product(
+                  range(4), range(3), range(3), range(3), range(3))]
+    claims = {"holds": 0, "fails": 0}
+    for spec in specs:
+        t0, period = len(spec.preperiod), len(spec.cycle)
+        registers = None
+        for pos, rule in enumerate(spec.cycle):
+            m = _period_matrix(spec, pos)
+            for row, value in _claimed_rows(rule):
+                sign, w = _eventual_sign(row, m)
+                if sign == "unknown":
+                    continue
+                claims[sign] += 1
+                stop = t0 + pos + (w + 40) * period + 2
+                if registers is None or len(registers) < stop:
+                    registers = oracle_registers(spec, stop)
+                for k in range(w, w + 41):
+                    n = t0 + pos + k * period
+                    x = value(*registers[n], registers[n + 1][0])
+                    assert (x >= 0 if sign == "holds" else x <= -1), \
+                        (spec, pos, row, sign, w, k)
+    assert claims["holds"] > 1000 and claims["fails"] > 200, claims
 
 
 def test_undecided_condition_3_is_reported_unknown():

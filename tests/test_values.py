@@ -165,6 +165,8 @@ def test_replace_and_asdict(cls, samples):
     assert y == x and y is not x and type(y) is cls
     first = dataclasses.fields(cls)[0].name
     assert dataclasses.replace(x, **{first: getattr(x, first)}) == x
+    assert x.replace() == x and x.replace() is not x
+    assert x.replace(**{first: getattr(x, first)}) == x
     d = dataclasses.asdict(x)
     assert list(d) == [f.name for f in dataclasses.fields(cls)]
     assert cli._json_default(x) == d
@@ -200,6 +202,22 @@ def test_equality_and_hash_by_field_values(cls, samples):
                 and cls.__dict__.get("__post_init__") is None:
             changed = dataclasses.replace(x, **{f.name: _bump(getattr(x, f.name))})
             assert changed != x
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_subclass_registers_its_own_fields(cls, samples):
+    # registered first, the base must not lend its field table to a
+    # subclass that declares one more field
+    x = samples[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    wider = type(f"Wider{cls.__name__}", (cls,), {
+        "__module__": __name__, "__annotations__": {"extra": "int"}, "extra": 7})
+    y = wider(*_values(x))
+    assert [f.name for f in dataclasses.fields(wider)] == names + ["extra"]
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert dataclasses.asdict(y) == {**dataclasses.asdict(x), "extra": 7}
+    assert dataclasses.replace(y, extra=8).extra == 8 == y.replace(extra=8).extra
+    assert cli._json_default(y) == dataclasses.asdict(y)
 
 
 def _bump(value):
@@ -307,7 +325,7 @@ modules = [importlib.import_module(f"rankone.{m.name}")
 builtins.exec = real
 types = [c for m in modules for c in vars(m).values()
          if isinstance(c, type) and c.__module__ == m.__name__
-         and "__dataclass_fields__" in c.__dict__]
+         and c.__dict__.get("__annotations__")]
 print(json.dumps([len(calls), len(types)]))
 """
 
