@@ -34,23 +34,24 @@ _MISSING = object()  # a field without a default
 _FIELDS_LOCK = threading.RLock()
 
 
-class _LazyFields:
-    """``__dataclass_fields__`` of a value type, made on first access: the
-    descriptor imports ``dataclasses`` and registers the class with it,
-    once, which replaces the descriptor by the class's own field table.
-    Any caller of ``fields``, ``replace``, ``asdict`` or ``is_dataclass``
-    has imported ``dataclasses`` already, so a process that never calls
-    them never loads it.  On ``Value`` itself it raises AttributeError,
-    as there it is no dataclass."""
+class _OnFirstUse:
+    """A class attribute made on its first access, for the class it is read
+    from: ``make(cls)`` builds it once, under a reentrant lock (making one
+    may read another, as a subclass registers its bases first), and the
+    result replaces the descriptor in that class's own ``__dict__``, so
+    later reads find it there and never come back here."""
+
+    def __init__(self, name, make):
+        self.name, self.make = name, make
 
     def __get__(self, instance, owner):
-        if owner is Value:
-            raise AttributeError("__dataclass_fields__")
-        import dataclasses
-        with _FIELDS_LOCK:  # reentrant: a subclass registers its bases first
-            if owner.__dict__.get("__dataclass_fields__", self) is self:
-                dataclasses.dataclass(init=False, repr=False, eq=False)(owner)
-        return owner.__dict__["__dataclass_fields__"]
+        with _FIELDS_LOCK:
+            value = owner.__dict__.get(self.name, self)
+            if value is self:
+                value = self.make(owner)
+                setattr(owner, self.name, value)
+        bind = getattr(type(value), "__get__", None)
+        return value if bind is None else bind(value, instance, owner)
 
 
 class Value:
@@ -61,24 +62,21 @@ class Value:
     class, and assigning or deleting an attribute raises
     ``FrozenInstanceError``.  Unlike the stdlib decorator, which compiles
     about six methods per class with ``exec`` at import time, each subclass
-    compiles only its ``__init__``; the other methods are shared, and the
-    class registers its fields with ``dataclasses`` on first use."""
-
-    __dataclass_fields__ = _LazyFields()
+    compiles only its ``__init__``, on its first construction (or when
+    ``inspect`` reads it); the other methods are shared, and the class
+    registers its fields with ``dataclasses`` on first use."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the fields in dataclass order: a base's before the class's own
-        fields = {}
-        for base in reversed(cls.__mro__):
-            if issubclass(base, Value):
-                annotations = base.__dict__.get("__annotations__", {})
-                for name, annotation in annotations.items():
-                    fields[name] = annotation, getattr(base, name, _MISSING)
+        fields = _fields(cls)
         cls.__match_args__ = tuple(fields)
-        cls.__dataclass_fields__ = Value.__dict__["__dataclass_fields__"]
-        cls.__init__, signature = _compile_init(cls, fields)
+        signature = _signature(cls, fields)
         cls.__doc__ = cls.__doc__ or cls.__name__ + signature
+        # each class its own, made for it: a subclass made after its base
+        # was built must find neither the base's __init__ nor its fields
+        cls.__init__ = _OnFirstUse("__init__", _compile_init)
+        cls.__dataclass_fields__ = _OnFirstUse("__dataclass_fields__",
+                                               _dataclass_fields)
         names = cls.__match_args__
         cls._field_values = staticmethod(
             attrgetter(*names) if len(names) > 1
@@ -113,27 +111,52 @@ class Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _compile_init(cls, fields):
-    """The one function a value type compiles: ``__init__`` with the
-    fields as parameters, in order and with their defaults, that sets each
-    field and then calls ``__post_init__`` when the class has one.  Also
-    the signature's text for the docstring of a type that has none, as
-    dataclass gives one; an annotation is text (the modules postpone their
-    evaluation), so its repr is what the signature shows."""
-    params, shown, body = [], [], []
-    namespace = {"_object": object}
+def _fields(cls):
+    """The fields of a value type in dataclass order, a base's before the
+    class's own: name -> (annotation, default or _MISSING), the default as
+    ``getattr`` finds it."""
+    fields = {}
+    for base in reversed(cls.__mro__):
+        if issubclass(base, Value):
+            annotations = base.__dict__.get("__annotations__", {})
+            for name, annotation in annotations.items():
+                fields[name] = annotation, getattr(base, name, _MISSING)
+    return fields
+
+
+def _signature(cls, fields):
+    """The text of ``__init__``'s signature, read off the field table, for
+    the docstring of a type that has none, as dataclass gives one; an
+    annotation is text (the modules postpone their evaluation), so its
+    repr is what the signature shows.  Refuses, when the class is made, a
+    default that dataclass would refuse or copy."""
+    shown = []
     for name, (annotation, default) in fields.items():
         shown.append(f"{name}: {annotation!r}")
         if default is _MISSING:
-            params.append(name)
-        elif (type(default).__module__ == "dataclasses"
-              or type(default).__hash__ is None):
+            continue
+        if (type(default).__module__ == "dataclasses"
+                or type(default).__hash__ is None):
             raise TypeError(f"{cls.__name__}.{name}: value types take plain, "
                             "hashable defaults only")
+        shown[-1] += f" = {default!r}"
+    return f"({', '.join(shown)})"
+
+
+def _compile_init(cls):
+    """The one function a value type compiles, on its first construction:
+    ``__init__`` with the fields as parameters, in order and with their
+    defaults, that sets each field and then calls ``__post_init__`` when
+    the class has one."""
+    fields = _fields(cls)
+    params, body = [], []
+    namespace = {"_object": object}
+    for name, (annotation, default) in fields.items():
+        if default is _MISSING:
+            params.append(name)
         else:
             namespace[f"_d_{name}"] = default
             params.append(f"{name}=_d_{name}")
-            shown[-1] += f" = {default!r}"
         # the statement dataclass generates, so that an instance costs what
         # it cost as a dataclass
         body.append(f" _object.__setattr__(self, {name!r}, {name})")
@@ -146,7 +169,17 @@ def _compile_init(cls, fields):
     init.__annotations__ = {name: annotation
                             for name, (annotation, _) in fields.items()}
     init.__annotations__["return"] = None
-    return init, f"({', '.join(shown)})"
+    return init
+
+
+def _dataclass_fields(cls):
+    """The class's field table, made by registering the class with
+    ``dataclasses``.  Any caller of ``fields``, ``replace``, ``asdict`` or
+    ``is_dataclass`` has imported ``dataclasses`` already, so a process
+    that never calls them never loads it."""
+    import dataclasses
+    dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+    return cls.__dict__["__dataclass_fields__"]
 
 
 class SpacerExpr(Value):
@@ -732,7 +765,7 @@ def check_rewriting_criterion(spec: ParameterSpec) -> RewritingCriterionResult:
             s_max = max(s_max, e.b)
 
     worst_period = 0
-    for pos, rule in enumerate(spec.cycle):
+    for pos, rule in enumerate(eventual_cycle(spec)):
         m = _period_matrix(spec, pos)
         h_row = _stage_matrix(rule)[0]
         last = rule.last

@@ -2,9 +2,10 @@
 
     python3 tests/mutation.py
 
-It takes about twenty seconds.  Each entry of MUTANTS names a file, an
-exact snippet that occurs once in it, the snippet's replacement, and the
-tests to run.  For each one the script copies the checkout's ``src/``,
+It takes about twenty-five seconds for its 17 mutants (Python 3.11 on a
+two-vCPU virtual machine).  Each entry of MUTANTS names a file, an exact
+snippet that occurs once in it, the snippet's replacement, and the tests
+to run.  For each one the script copies the checkout's ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
 mutant there, runs the tests with ``-x``, and prints "killed" when they
 fail or "survived" when they pass.  The unmutated copy must pass first.
@@ -42,10 +43,21 @@ MUTANTS = [
     ("value-default-of-the-wrong-field", VALUES,
      '            namespace[f"_d_{name}"] = default\n',
      '            namespace[f"_d_{name}"] = list(fields.values())[-1][1]\n', CONTRACT),
-    # the lazy dataclass registration and the JSON walk that replaced asdict
+    # the first-use descriptors of __init__ and of the dataclass fields,
+    # and the JSON walk that replaced asdict
+    ("value-init-never-replaces-itself", VALUES,
+     "                setattr(owner, self.name, value)\n",
+     "                pass\n",
+     ["tests/test_values.py::test_init_is_compiled_once_on_first_use"]),
+    # (the next two install the descriptor on Value alone, so a subclass
+    # made after its base was built finds what was made for the base)
+    ("value-subclass-runs-its-base-init", VALUES,
+     '        cls.__init__ = _OnFirstUse("__init__", _compile_init)\n',
+     '        Value.__init__ = _OnFirstUse("__init__", _compile_init)\n',
+     ["tests/test_values.py::test_subclass_registers_its_own_fields"]),
     ("value-subclass-reads-its-base-field-table", VALUES,
-     '        cls.__dataclass_fields__ = Value.__dict__["__dataclass_fields__"]\n',
-     "        pass\n",
+     "        cls.__dataclass_fields__ = _OnFirstUse(",
+     "        Value.__dataclass_fields__ = _OnFirstUse(",
      ["tests/test_values.py::test_subclass_registers_its_own_fields"]),
     ("json-default-stops-below-the-first-level", "src/rankone/cli.py",
      "return {name: _plain(getattr(value, name)) for name",
@@ -81,6 +93,13 @@ MUTANTS = [
      "    refute = [-row[0], -row[1], -row[2] - 1]\n",
      "    refute = [-row[0], -row[1], -row[2]]\n",
      ["tests/test_params.py::test_eventual_sign_claims_hold_at_every_period_they_cover"]),
+    ("rewriting-criterion-last-column-unfolded", PARAMS,
+     "    for pos, rule in enumerate(eventual_cycle(spec)):\n"
+     "        m = _period_matrix(spec, pos)\n",
+     "    for pos, rule in enumerate(spec.cycle):\n"
+     "        m = _period_matrix(spec, pos)\n",
+     ["tests/test_params.py::test_rewriting_criterion_folds_a_constant_accumulator"
+      "_into_the_last_column"]),
 ]
 
 

@@ -20,6 +20,7 @@ from rankone.params import (
     SYMBOLIC_HORIZON,
     BoundednessRefutation,
     ParameterSpec,
+    RewritingCriterionResult,
     SpacerExpr,
     StageRule,
     _eventual_sign,
@@ -552,6 +553,71 @@ def test_eventual_sign_claims_hold_at_every_period_they_cover():
                     assert (x >= 0 if sign == "holds" else x <= -1), \
                         (spec, pos, row, sign, w, k)
     assert claims["holds"] > 1000 and claims["fails"] > 200, claims
+
+
+def test_symbolic_claims_hold_at_the_stages_they_cover():
+    # property (c): a certificate (R, S, N) claims r_n < R, a spread of the
+    # non-final spacers below S and every one of them >= h_n at each stage
+    # n >= N; a refutation claims s_n(i) < h_n at its witness stage and at
+    # each later period (the spacer stays below the growing height); a
+    # rewriting criterion that holds claims r_n <= R, non-final spacers
+    # below S and 2 * last_n >= h_{n+1} from its threshold on.  Each claim
+    # is checked at 41 stages against oracle_registers, without a decider
+    rng = Random(31)
+    makers = (random_normalized_spec, random_certified_spec, random_growth_spec,
+              random_full_grammar_spec)
+    seen = dict.fromkeys(["certified", "refuted", "unknown", "holds"], 0)
+    for i in range(2400):
+        spec = makers[i % 4](rng)
+        if spec.normalized:
+            normal = spec
+        else:
+            criterion = check_rewriting_criterion(spec)
+            if criterion.status == "holds":
+                seen["holds"] += 1
+                start = criterion.threshold
+                registers = oracle_registers(spec, start + 42)
+                for n in range(start, start + 41):
+                    rule, (h, acc) = spec.rule_schedule(n), registers[n]
+                    assert rule.r <= criterion.R_frak, (spec, n)
+                    assert max(e.value(h, acc) for e in rule.spacers) < criterion.S_frak
+                    assert 2 * rule.last.value(h, acc) >= registers[n + 1][0]
+            normal = normalize(spec)
+        result = check_partially_bounded(normal)
+        seen[result.status] += 1
+        if result.status == "certified":
+            c = result.certificate
+            registers = oracle_registers(normal, c.N + 41)
+            for n in range(c.N, c.N + 41):
+                rule, (h, acc) = normal.rule_schedule(n), registers[n]
+                spacers = [e.value(h, acc) for e in rule.spacers]
+                assert rule.r < c.R_frak, (normal, n)
+                assert max(spacers) - min(spacers) < c.S_frak, (normal, n)
+                assert min(spacers) >= h, (normal, n)
+        elif result.status == "refuted":
+            w, period = result.refutation, len(normal.cycle)
+            assert w.condition == 3
+            registers = oracle_registers(normal, w.stage + 40 * period + 1)
+            for n in range(w.stage, w.stage + 40 * period + 1, period):
+                h, acc = registers[n]
+                spacer = normal.rule_schedule(n).spacers[w.i].value(h, acc)
+                assert spacer < h, (normal, w, n)
+    assert seen["certified"] > 1000 and seen["refuted"] > 40, seen
+    assert seen["holds"] > 500, seen
+
+
+def test_rewriting_criterion_folds_a_constant_accumulator_into_the_last_column():
+    # A_n stays 0, so the last column 2h + 3 is exactly half of
+    # h_{n+1} = 2h + (0 + 3) + (2h + 3) at every stage; the criterion holds
+    # with equality, which the row on the unfolded cycle never shows
+    spec = parse_spec("cycle: [r=2, s=(1A+3), last=2h+3, acc=0]")
+    assert check_rewriting_criterion(spec) == RewritingCriterionResult(
+        "holds", R_frak=2, S_frak=4, threshold=0)
+    registers = oracle_registers(spec, 42)
+    last = spec.cycle[0].last
+    for n in range(41):
+        (h, acc), (h_next, _) = registers[n], registers[n + 1]
+        assert acc == 0 and 2 * last.value(h, acc) - h_next == 0
 
 
 def test_undecided_condition_3_is_reported_unknown():

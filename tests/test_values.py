@@ -10,7 +10,8 @@ Each sample is then checked for what callers rely on: ``fields``,
 one class, the ``repr`` text, frozenness, copies and pickles, and
 ``__match_args__``.  A fresh interpreter counts the source ``exec`` calls
 that importing the modules makes, since each one compiles code at start-up
-that every CLI call pays for."""
+that every CLI call pays for, and those that building the types makes:
+each type compiles its ``__init__`` once, on first use."""
 
 import copy
 import dataclasses
@@ -22,6 +23,8 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import threading
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,15 +53,26 @@ from rankone.params import (
     ParameterSpec,
     SpacerExpr,
     StageRule,
+    Value,
+    certified,
     check_partially_bounded,
     check_rewriting_criterion,
     parse_spec,
     rule_at,
     serialize_spec,
+    stage_table,
 )
 from rankone.registry import get_spec
 from rankone.tower import TowerPoint, canonicalize, parse_point, verify_injectivity
-from rankone.words import NameWindow, build_word, builds, gap_instances, letter_at
+from rankone.words import (
+    NameWindow,
+    build_word,
+    builds,
+    decode,
+    gap_instances,
+    letter_at,
+    occurrences,
+)
 
 SRC = str(Path(rankone.__file__).resolve().parent.parent)
 MODULES = [importlib.import_module(f"rankone.{m.name}")
@@ -213,6 +227,9 @@ def test_subclass_registers_its_own_fields(cls, samples):
     wider = type(f"Wider{cls.__name__}", (cls,), {
         "__module__": __name__, "__annotations__": {"extra": "int"}, "extra": 7})
     y = wider(*_values(x))
+    # and must not run the base's __init__, compiled before it was made
+    assert list(inspect.signature(wider).parameters) == names + ["extra"]
+    assert wider(*_values(x), 9).extra == 9
     assert [f.name for f in dataclasses.fields(wider)] == names + ["extra"]
     assert [f.name for f in dataclasses.fields(cls)] == names
     assert dataclasses.asdict(y) == {**dataclasses.asdict(x), "extra": 7}
@@ -312,7 +329,7 @@ def test_accepted_coefficients_and_points_round_trip_through_text():
 
 
 EXEC_COUNT = """\
-import builtins, importlib, json, pkgutil
+import builtins, importlib, inspect, json, pickle, pkgutil, sys, types
 import rankone
 real, calls = builtins.exec, []
 def counting(source, *args, **kwargs):
@@ -322,20 +339,120 @@ def counting(source, *args, **kwargs):
 builtins.exec = counting
 modules = [importlib.import_module(f"rankone.{m.name}")
            for m in pkgutil.iter_modules(rankone.__path__)]
-builtins.exec = real
-types = [c for m in modules for c in vars(m).values()
+found = [c for m in modules for c in vars(m).values()
          if isinstance(c, type) and c.__module__ == m.__name__
          and c.__dict__.get("__annotations__")]
-print(json.dumps([len(calls), len(types)]))
+counts = [len(calls)]
+samples = pickle.loads(sys.stdin.buffer.read())  # unpickling runs no __init__
+for _ in range(2):
+    built = [type(x)(*[getattr(x, n) for n in x.__match_args__]) for x in samples]
+    counts.append(len(calls))
+for cls in found:
+    cls.__init__, inspect.signature(cls)
+counts.append(len(calls))
+builtins.exec = real
+print(json.dumps([counts, len(found), sorted({type(x).__name__ for x in samples}),
+                  built == samples,
+                  [c.__name__ for c in found
+                   if type(c.__dict__["__init__"]) is not types.FunctionType]]))
 """
 
 
-def test_import_compiles_at_most_one_function_per_value_type():
+def test_import_compiles_at_most_one_function_per_value_type(samples):
     # stdlib dataclasses compile about six methods a frozen class, each
-    # with exec at import time; the value types compile their __init__ alone
+    # with exec at import time; a value type compiles its __init__ alone,
+    # on its first construction, so an import compiles only the one for
+    # params.ZERO, and building every type compiles each __init__ once
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", EXEC_COUNT], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    calls, types = json.loads(out)
-    assert types >= 27
-    assert calls <= types
+                         input=pickle.dumps(list(samples.values())),
+                         capture_output=True, check=True).stdout
+    counts, count, sampled, same, uncompiled = json.loads(out)
+    assert count >= 27 and len(sampled) == count
+    at_import, first, again, read = counts
+    assert at_import <= 1
+    assert first == count  # in total, the import's included
+    assert again == read == first
+    assert same and uncompiled == []
+
+
+def test_init_is_compiled_once_on_first_use(monkeypatch):
+    compiled, real_exec = [], exec
+
+    def counting(source, *args):
+        compiled.append(source)
+        return real_exec(source, *args)
+
+    monkeypatch.setattr("builtins.exec", counting)
+
+    class Fresh(Value):
+        a: "int"  # as the library's modules write them
+        b: "str" = "b"
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise SpecError("a < 0")
+
+    # the docstring's signature is read off the fields, without compiling
+    assert Fresh.__doc__ == "Fresh(a: 'int', b: 'str' = 'b')"
+    assert type(Fresh.__dict__["__init__"]) is not types.FunctionType
+    assert compiled == []
+    assert [Fresh(i).a for i in range(3)] == [0, 1, 2]
+    assert Fresh(1, "c") == Fresh(a=1, b="c")
+    with pytest.raises(SpecError):
+        Fresh(-1)
+    assert str(inspect.signature(Fresh)) == "(a: 'int', b: 'str' = 'b') -> None"
+    assert Fresh.__init__ is Fresh.__dict__["__init__"]
+    assert type(Fresh.__dict__["__init__"]) is types.FunctionType
+    assert len(compiled) == 1
+    # a subclass made after its base was built compiles its own
+    Wider = type("Wider", (Fresh,), {"__annotations__": {"c": "int"}, "c": 3})
+    assert Wider(1).c == 3 and Wider(1, "b", 4).c == 4
+    assert len(compiled) == 2
+
+
+def test_threads_share_caches_and_the_first_construction():
+    # the README says everything is safe to share across threads: four
+    # threads, let go at once, fill the caches of the same fresh specs and
+    # make the first instances of a new value type; each gets what a
+    # serial run gets, and the type ends with one compiled __init__
+    texts = [f"cycle: [r={r}, s=({', '.join(['1h+' + str(b)] * (r - 1))})]"
+             for r, b in ((2, 9173), (3, 9174), (4, 9175), (3, 9176))]
+
+    class Tagged(Value):
+        thread: int
+        spec: ParameterSpec
+        note: str = ""
+
+    def run(spec):
+        word = decode(spec, 2, 0, rule_at(spec, 2).h)
+        letters = decode(spec, 5, 1000, 9000)
+        return (certified(spec), stage_table(spec).views(0, 9), letters,
+                occurrences(word, letters))
+
+    specs = [parse_spec(text) for text in texts]
+    serial = [run(spec.replace(name="serial")) for spec in specs]
+    barrier, results = threading.Barrier(4, timeout=60), {}
+
+    def worker(k):
+        barrier.wait()
+        order = specs[k:] + specs[:k]
+        results[k] = ([run(spec) for spec in order],
+                      Tagged(k, order[0]), Tagged(thread=k, spec=order[0]))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for k, (got, first, second) in results.items():
+        assert got == serial[k:] + serial[:k]
+        assert first == second == Tagged(k, specs[k])
+    assert type(Tagged.__dict__["__init__"]) is types.FunctionType
