@@ -243,9 +243,6 @@ class PropagationResult(Value):
     contradiction_index: Optional[int] = None
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return self.status == "ok"
-
 
 def propagate_goodness(
     pair: CandidatePair, seed: int,

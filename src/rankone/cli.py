@@ -16,7 +16,7 @@ from pathlib import Path
 # ``json`` is imported only where it is used, and ``fractions`` only by
 # the modules that make Fractions.
 from . import params, registry
-from .errors import RankOneError
+from .errors import NotCertifiedError, RankOneError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -138,7 +138,7 @@ def cmd_check(args) -> Result:
             lines.append(
                 f"rewriting criterion: {growth.status}"
                 + (f" (R={growth.R_frak}, S={growth.S_frak}, "
-                   f"threshold={growth.threshold})" if growth else "")
+                   f"threshold={growth.threshold})" if growth.holds else "")
             )
         spec = params.normalize(spec)
     mode = "numeric" if args.to is not None else "symbolic"
@@ -158,8 +158,7 @@ def cmd_check(args) -> Result:
         )
     else:
         lines.append(f"partially bounded: unknown ({result.detail})")
-    holds = {"certified": True, "refuted": False}.get(result.status)
-    return _verdict(holds), payload, lines
+    return _verdict(result.holds), payload, lines
 
 
 def cmd_orbit(args) -> Result:
@@ -257,13 +256,12 @@ def cmd_inverse(args) -> Result:
             "witness": report.witness, "detail": report.detail,
         }
         lines = [f"criteria_met={report.criteria_met} status={report.status}"]
-        if report.witness:
+        if report.witness is not None:
             w = report.witness
             lines.append(f"witness stage={w.stage} q={w.q}")
             lines.append(f"  t ={list(w.t)}")
             lines.append(f"  t'={list(w.t_prime)}")
-        holds = {"criteria_met": True, "condition1_fails": False}.get(report.status)
-        return _verdict(holds), payload, lines
+        return _verdict(report.holds), payload, lines
     verdict = inverseiso.decide_inverse_isomorphic(spec)
     payload = {
         "inverse_isomorphic": verdict.isomorphic_to_inverse,
@@ -375,6 +373,9 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
         return code
+    except NotCertifiedError as exc:  # a missing hypothesis, not bad input
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except RankOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -47,9 +47,6 @@ class CompatibilityResult(Value):
     offset: Optional[int] = None  # witness when compatible
     c: Optional[int] = None  # the forced middle entry; None means any works
 
-    def __bool__(self) -> bool:
-        return self.incompatible
-
 
 def incompatible(s: SpacerTuple, s_prime: SpacerTuple) -> CompatibilityResult:
     """Whether no integer c makes s a substring of s' c s'.
@@ -108,9 +105,6 @@ class InverseVerdict(Value):
     refuting_positions: tuple[int, ...] = ()
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.isomorphic_to_inverse
-
 
 def _non_palindromic(stages) -> tuple[int, ...]:
     """Indices of the rules or stage views whose spacer tuple differs from
@@ -159,8 +153,11 @@ class NonIsoReport(Value):
     witness: Optional[GroupingWitness] = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.criteria_met
+    @property
+    def holds(self) -> Optional[bool]:
+        """True when the criteria are met, False when condition (1) fails,
+        None when undecided."""
+        return {"criteria_met": True, "condition1_fails": False}.get(self.status)
 
 
 def _cross_spread(s, t) -> int:

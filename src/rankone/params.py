@@ -582,8 +582,10 @@ class BoundednessResult(Value):
     refutation: Optional[BoundednessRefutation] = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.status == "certified"
+    @property
+    def holds(self) -> Optional[bool]:
+        """True when certified, False when refuted, None when unknown."""
+        return {"certified": True, "refuted": False}.get(self.status)
 
 
 def _scan_smallest_n(spec, t_sym, cycle_r_max, cycle_diff_max):
@@ -720,7 +722,7 @@ def _check_pb_symbolic(spec):
 def certified(spec: ParameterSpec) -> PartialBoundednessCertificate:
     """The symbolic certificate, cached; raises when the spec has none."""
     result = check_partially_bounded(spec, mode="symbolic")
-    if result.status != "certified":
+    if not result.holds:
         raise NotCertifiedError(
             f"spec is not certified partially bounded: {result.status}"
             + (f" ({result.detail})" if result.detail else "")
@@ -739,8 +741,11 @@ class RewritingCriterionResult(Value):
     threshold: Optional[int] = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.status == "holds"
+    @property
+    def holds(self) -> Optional[bool]:
+        """True when the criterion holds, False when it fails, None when
+        unknown."""
+        return {"holds": True, "fails": False}.get(self.status)
 
 
 def check_rewriting_criterion(spec: ParameterSpec) -> RewritingCriterionResult:

@@ -319,9 +319,6 @@ class BuildsResult(Value):
     builds: bool
     gaps: Optional[tuple[int, ...]]
 
-    def __bool__(self) -> bool:
-        return self.builds
-
 
 def builds(u: bytes, w: bytes) -> BuildsResult:
     """Whether w = u 1^{a_1} u ... 1^{a_r} u for nonnegative a_i.

@@ -2,7 +2,7 @@
 
     python3 tests/mutation.py
 
-It takes about twenty-five seconds for its 17 mutants (Python 3.11 on a
+It takes thirty to forty seconds for its 20 mutants (Python 3.11 on a
 two-vCPU virtual machine).  Each entry of MUTANTS names a file, an exact
 snippet that occurs once in it, the snippet's replacement, and the tests
 to run.  For each one the script copies the checkout's ``src/``,
@@ -100,6 +100,19 @@ MUTANTS = [
      "        m = _period_matrix(spec, pos)\n",
      ["tests/test_params.py::test_rewriting_criterion_folds_a_constant_accumulator"
       "_into_the_last_column"]),
+    # the verdict protocol: each status type's holds, and the CLI's read of it
+    ("boundedness-unknown-reads-as-refuted", PARAMS,
+     '{"certified": True, "refuted": False}.get(self.status)',
+     '{"certified": True, "refuted": False}.get(self.status, False)',
+     ["tests/test_cli.py::test_check_undecided_spec_exits_inconclusive"]),
+    ("non-iso-condition-4-reads-as-refuted", "src/rankone/inverseiso.py",
+     '{"criteria_met": True, "condition1_fails": False}',
+     '{"criteria_met": True, "condition1_fails": False, "condition4_fails": False}',
+     ["tests/test_cli.py::test_inverse_against_self_inconclusive"]),
+    ("check-reads-the-criterion-as-a-truth-value", "src/rankone/cli.py",
+     'threshold={growth.threshold})" if growth.holds else "")',
+     'threshold={growth.threshold})" if growth else "")',
+     ["tests/test_cli.py::test_check_prints_the_rewriting_criterion_without_a_witness"]),
 ]
 
 

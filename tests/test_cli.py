@@ -100,6 +100,46 @@ def test_check_undecided_spec_exits_inconclusive(capsys, tmp_path):
         "slot 0 within 64 periods; fall back to numeric mode)"]
 
 
+@pytest.mark.parametrize("config, line, code", [
+    ("cycle: [r=2, s=(1), last=1]\n", "rewriting criterion: fails", 1),
+    ("preperiod: [r=2, s=(0), last=1]\ncycle: [r=2, s=(0), last=1A]\n",
+     "rewriting criterion: unknown", 3),
+    ("preperiod: [r=2, s=(0)]\ncycle: [r=2, s=(0), last=2h+1]\n",
+     "rewriting criterion: not applicable "
+     "(this check needs explicit last-column spacers)", 0),
+])
+def test_check_prints_the_rewriting_criterion_without_a_witness(
+        capsys, tmp_path, config, line, code):
+    # R, S and the threshold follow the status only when the criterion holds
+    path = tmp_path / "raw.cfg"
+    path.write_text(config)
+    got, out, _ = run(capsys, "check", "--spec", str(path))
+    assert got == code
+    assert out.splitlines()[0] == line
+
+
+UNCERTIFIED = "cycle: [r=3, s=(1h, 2h+1)]\n"  # condition (2) is undecided
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "{F}"],
+    ["inverse", "--spec", "{F}"],
+    ["inverse", "--spec", "{F}", "--against", "{F}"],
+    ["analyze", "--spec", "{F}", "--n", "2", "--m", "4", "--y", "shift:3"],
+    ["analyze", "--spec", "{F}", "--n", "2", "--m", "4", "--kappa", "1",
+     "--y", "shift:3"],
+    ["inverse", "--spec", "finite-odometer"],
+])
+def test_a_missing_certificate_exits_inconclusive(capsys, tmp_path, argv):
+    # whether the verdict or the command needs the hypothesis, exit 3
+    path = tmp_path / "uncertified.cfg"
+    path.write_text(UNCERTIFIED)
+    code, _, err = run(capsys, *[v.format(F=path) for v in argv])
+    assert code == cli.EXIT_INCONCLUSIVE == 3
+    assert err == "" or err.startswith(
+        "inconclusive: spec is not certified partially bounded: ")
+
+
 def test_check_numeric_mode(capsys):
     code, out, _ = run(capsys, "check", "--spec", "chacon", "--to", "12")
     assert code == 0 and "numeric-up-to(12)" in out
@@ -171,6 +211,15 @@ def test_analyze_corrupt_json(capsys):
     assert payload["occurrences"] == sorted(r["index"] for r in records)
     assert "totally" in payload
     assert code in (0, 1)
+
+
+def test_analyze_prints_the_dichotomy_violations(capsys):
+    code, out, _ = run(capsys, "analyze", "--spec", "chacon", "--n", "2",
+                       "--m", "4", "--kappa", "1", "--y", "corrupt:6:30",
+                       "--totally", "3")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["block i=605 verdict=mixed",
+                                     "dichotomy violations at [605]"]
 
 
 def test_analyze_overlapping_copies_ends_in_time(capsys):
@@ -374,6 +423,8 @@ def spec_paths(tmp_path_factory):
       "1000000000"], 2),
     (["name", "--spec", "chacon", "--point", "0:99:1/2", "--window", "0:0"], 2),
     (["name", "--spec", "chacon", "--point", "5000:0:1/2", "--window", "0:0"], 2),
+    (["name", "--spec", "chacon", "--point", "2:0:1/5", "--window", "a:b"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y", "foo:1"], 2),
 ])
 def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     argv = [v.format(**spec_paths) for v in argv]

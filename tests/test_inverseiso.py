@@ -373,7 +373,8 @@ def test_reversed_twin_criteria_met_on_random_specs():
         report = check_non_isomorphism(spec, rev)
         if nonpal:
             assert report.criteria_met
-            assert incompatible(report.witness.t, report.witness.t_prime)
+            assert incompatible(report.witness.t,
+                                report.witness.t_prime).incompatible
             found += 1
         else:
             assert report.status == "condition4_fails"

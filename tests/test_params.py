@@ -3,12 +3,19 @@ import dataclasses
 import itertools
 import pickle
 import re
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankone.analysis import (
+    check_ab_law,
+    classify,
+    classify_totally,
+    corrupt_gap_pair,
+)
 from rankone.errors import (
     NormalizationError,
     NotCertifiedError,
@@ -38,7 +45,13 @@ from rankone.params import (
     stage_table,
     stage_views,
 )
+from rankone.inverseiso import (
+    check_non_isomorphism,
+    decide_inverse_isomorphic,
+    group_stages,
+)
 from rankone.registry import get_spec, names
+from rankone.tower import TowerPoint, name_window, refine
 from rankone.words import build_word
 
 from helpers import (
@@ -721,6 +734,16 @@ def test_rewriting_requires_last():
         check_rewriting_criterion(get_spec("chacon"))
 
 
+def test_rewriting_criterion_leaves_a_last_column_of_one_A_unknown():
+    # last_n = A_n, and A stays 0 here, so the criterion in truth fails; the
+    # sign search reports the undecided row instead of guessing
+    result = check_rewriting_criterion(parse_spec("cycle: [r=2, s=(0), last=1A]"))
+    assert result.status == "unknown" and result.holds is None
+    assert (result.R_frak, result.S_frak, result.threshold) == (None, None, None)
+    assert result.detail == ("last-column condition undecided for cycle rule 0 "
+                             f"within {SYMBOLIC_HORIZON} periods")
+
+
 def test_rewriting_criterion_implies_partially_bounded():
     # randomized instances of the rewriting criterion, verified numerically
     rng = Random(10)
@@ -757,3 +780,69 @@ def test_reversed_parameters_preserves_heights():
             for n in range(6):
                 mirror = build_word(spec, n).letters[::-1]
                 assert build_word(rev, n).letters == mirror
+
+
+# ---------------------------------------------------------------------------
+# input guards that no other test reaches
+
+
+def _corrupt_pair():
+    # chacon's w_2 in w_4 with gap 4 made 31 long: 50 is good, 403 bad
+    return corrupt_gap_pair(get_spec("chacon"), 2, 4, 4, 31)[0]
+
+
+PRE = "preperiod: [r=2, s=(1)]\ncycle: [r=3, s=(0, 1)]\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: classify(_corrupt_pair()).record_at(1),
+     SpecError, "no occurrence of w_n at index 1"),
+    (lambda: check_ab_law(_corrupt_pair(), 403),
+     SpecError, "occurrence at 403 is bad, need a good seed"),
+    (lambda: check_ab_law(_corrupt_pair(), 50, direction="up"),
+     SpecError, "direction must be 'right' or 'left', got 'up'"),
+    (lambda: classify_totally(_corrupt_pair(), 1),
+     SpecError, "need m >= n, got m=1, n=2"),
+    (lambda: corrupt_gap_pair(get_spec("chacon"), 2, 4, 999, 3),
+     SpecError, "gap ordinal 999 out of range (8 gaps)"),
+    (lambda: group_stages(get_spec("chacon"), 0, count=0),
+     SpecError, "count must be >= 1, got 0"),
+    (lambda: decide_inverse_isomorphic(get_spec("chacon-raw")),
+     SpecError, "decide on the normalized presentation"),
+    (lambda: check_non_isomorphism(get_spec("chacon-raw"), get_spec("chacon")),
+     SpecError, "both specs must be normalized"),
+    (lambda: get_spec("chacon").rule_schedule(-1),
+     SpecError, "stage index must be >= 0, got -1"),
+    (lambda: parse_spec(PRE).cycle_position(0),
+     SpecError, "stage 0 is in the preperiod"),
+    (lambda: stage_table(get_spec("chacon")).view(-1),
+     SpecError, "stage index must be >= 0, got -1"),
+    (lambda: stage_table(get_spec("chacon")).views(-1, 2),
+     SpecError, "stage index must be >= 0, got -1"),
+    (lambda: heights(get_spec("chacon"), -1),
+     SpecError, "up_to must be >= 0, got -1"),
+    (lambda: check_partially_bounded(get_spec("chacon"), mode="numeric"),
+     SpecError, "numeric mode needs up_to"),
+    (lambda: check_partially_bounded(get_spec("chacon"), mode="exact"),
+     SpecError, "unknown mode 'exact'"),
+    (lambda: refine(get_spec("chacon"), TowerPoint(1, 99, Fraction(0))),
+     SpecError, "level 99 out of range for C_1 (height 4)"),
+    (lambda: name_window(get_spec("chacon-raw"), TowerPoint(1, 0, Fraction(1, 2)),
+                         0, 3),
+     SpecError, "names are read against normalized presentations"),
+    (lambda: parse_spec("cycle: [r=2, s=(1h+2h)]"),
+     ParseError, "1:22: duplicate h term in expression"),
+    (lambda: parse_spec("cycle: [r=2, r=2, s=(0)]"),
+     ParseError, "1:14: duplicate rule field 'r'"),
+    (lambda: parse_spec("cycle: [r=2]"),
+     ParseError, "1:12: rule needs both r=<int> and s=(...)"),
+], ids=["record-at", "ab-law-bad-seed", "ab-law-direction", "totally-m-below-n",
+        "corrupt-ordinal", "group-count", "decide-raw", "non-iso-raw",
+        "rule-schedule", "cycle-position", "view", "views", "heights",
+        "numeric-without-up-to", "unknown-mode", "refine-level", "name-raw",
+        "duplicate-term", "duplicate-field", "rule-without-s"])
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
