@@ -7,9 +7,9 @@ rankone, never a verdict).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # Each subcommand imports the modules it reads, so a call pays at start-up
 # only for its own: ``check`` and ``normalize`` load no module but these.
@@ -302,67 +302,107 @@ def cmd_injectivity(args) -> Result:
 
 
 # ---------------------------------------------------------------------------
+# The command table: each subcommand's help and options, each option as
+# (name, type or choices, required, default, help).  Subcommand X runs
+# cmd_X, looked up as argv is read.  build_parser makes argparse's parser
+# from the table, and _parse reads a well-formed argv without argparse.
+
+OPTIONS = (("format", ("text", "json"), False, "text", None),
+           ("seed", int, False, 0, None))
+SPEC, POINT = ("spec", str, True, None, None), ("point", str, True, None, "n:j:p/q")
+COMMANDS = {
+    "word": ("print or probe a stage word", (
+        SPEC, ("n", int, True, None, None),
+        ("at", int, False, None, "single letter index (lazy decode)"),
+        ("range", str, False, None, "letter range a:b (lazy decode); "
+         "write --range=a:b when a is negative"))),
+    "check": ("partial boundedness / rewriting reports", (
+        SPEC, ("to", int, False, None, "numeric verification up to stage M"))),
+    "orbit": ("trace the orbit of a point", (
+        SPEC, POINT, ("steps", int, True, None, None))),
+    "name": ("itinerary window of a point", (
+        SPEC, POINT, ("window", str, True, None,
+                      "a:b; write --window=a:b when a is negative"))),
+    "analyze": ("classify occurrences against an image", (
+        SPEC, ("n", int, True, None, None),
+        ("m", int, True, None, "window word stage"),
+        ("kappa", int, False, None, None),
+        ("y", str, True, None, "shift:<l> | corrupt:<gap>:<len> | file:<path>"),
+        ("totally", int, False, None, "also classify w_m blocks"))),
+    "inverse": ("inverse-isomorphism verdicts", (
+        SPEC, ("against", str, False, None,
+               "second spec for the non-isomorphism criteria"),
+        ("horizon", int, False, None,
+         "grouping horizon in periods (with --against)"))),
+    "normalize": ("print the normalized presentation", (SPEC,)),
+    "injectivity": ("sampled name-separation probe", (
+        SPEC, ("trials", int, False, 100, None), ("m", int, False, 3, None))),
+}
+EXCLUSIVE = ("at", "range")  # word's two probes: one or neither
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the command table.  It reads each argv that
+    ``_parse`` refuses, so it prints the help and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rankone",
         description="Exact-arithmetic toolkit for rank-one cutting-and-stacking "
         "transformations",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    targets = [(parser, OPTIONS)]
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--spec", required=True)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("word", cmd_word, "print or probe a stage word")
-    p.add_argument("--n", type=int, required=True)
-    probe = p.add_mutually_exclusive_group()
-    probe.add_argument("--at", type=int, help="single letter index (lazy decode)")
-    probe.add_argument("--range", help="letter range a:b (lazy decode); "
-                       "write --range=a:b when a is negative")
-
-    p = command("check", cmd_check, "partial boundedness / rewriting reports")
-    p.add_argument("--to", type=int, help="numeric verification up to stage M")
-
-    p = command("orbit", cmd_orbit, "trace the orbit of a point")
-    p.add_argument("--point", required=True, help="n:j:p/q")
-    p.add_argument("--steps", type=int, required=True)
-
-    p = command("name", cmd_name, "itinerary window of a point")
-    p.add_argument("--point", required=True, help="n:j:p/q")
-    p.add_argument("--window", required=True,
-                   help="a:b; write --window=a:b when a is negative")
-
-    p = command("analyze", cmd_analyze, "classify occurrences against an image")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="window word stage")
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--y", required=True,
-                   help="shift:<l> | corrupt:<gap>:<len> | file:<path>")
-    p.add_argument("--totally", type=int, help="also classify w_m blocks")
-
-    p = command("inverse", cmd_inverse, "inverse-isomorphism verdicts")
-    p.add_argument("--against", help="second spec for the non-isomorphism criteria")
-    p.add_argument("--horizon", type=int,
-                   help="grouping horizon in periods (with --against)")
-
-    command("normalize", cmd_normalize, "print the normalized presentation")
-
-    p = command("injectivity", cmd_injectivity, "sampled name-separation probe")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--m", type=int, default=3)
-
+    for command, (help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
+        targets.append((p, options))
+    for target, options in targets:
+        group = None
+        for name, kind, required, default, help in options:
+            if name in EXCLUSIVE:
+                group = group or target.add_mutually_exclusive_group()
+            (group if name in EXCLUSIVE else target).add_argument(
+                f"--{name}", required=required, default=default, help=help,
+                **{"choices" if isinstance(kind, tuple) else "type": kind})
     return parser
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read in one pass
+    over the command table, or None for an argv that argparse must read: an
+    abbreviation, a repeat, ``--``, ``-h`` or a value argparse refuses."""
+    options, args, tokens = OPTIONS, {}, iter(argv)
+    for token in tokens:
+        if "command" not in args and token in COMMANDS:
+            options = COMMANDS[token][1]
+            args.update(command=token, func=globals()[f"cmd_{token}"])
+            continue
+        flag, eq, value = token.partition("=")
+        option = next((o for o in options if f"--{o[0]}" == flag), None)
+        if option is None or option[0] in args:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            # argparse takes a separate value that starts with "-" for an
+            # option unless it matches ^-\d+$ (\d is isdecimal: not "²")
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                return None
+        name, kind = option[:2]
+        try:  # a value outside the choices has no index
+            args[name] = kind(value) if callable(kind) else kind[kind.index(value)]
+        except ValueError:
+            return None
+    missing = [o for o in OPTIONS + options if o[0] not in args]
+    if ("command" not in args or any(o[2] for o in missing)
+            or all(name in args for name in EXCLUSIVE)):
+        return None
+    return SimpleNamespace(**args, **{o[0]: o[3] for o in missing})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)
         if args.format == "json":

@@ -2,7 +2,7 @@
 
     python3 tests/mutation.py
 
-It takes thirty to forty seconds for its 20 mutants (Python 3.11 on a
+It takes thirty to forty seconds for its 24 mutants (Python 3.11 on a
 two-vCPU virtual machine).  Each entry of MUTANTS names a file, an exact
 snippet that occurs once in it, the snippet's replacement, and the tests
 to run.  For each one the script copies the checkout's ``src/``,
@@ -24,7 +24,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALUES = PARAMS = "src/rankone/params.py"
 ANALYSIS = "src/rankone/analysis.py"
+CLI = "src/rankone/cli.py"
 CONTRACT = ["tests/test_values.py"]
+DIFFERENTIAL = ["tests/test_cli.py::"
+                "test_strict_parser_reads_argv_as_argparse_or_refuses_it"]
 
 # (name, file, snippet, replacement, tests)
 MUTANTS = [
@@ -59,7 +62,7 @@ MUTANTS = [
      "        cls.__dataclass_fields__ = _OnFirstUse(",
      "        Value.__dataclass_fields__ = _OnFirstUse(",
      ["tests/test_values.py::test_subclass_registers_its_own_fields"]),
-    ("json-default-stops-below-the-first-level", "src/rankone/cli.py",
+    ("json-default-stops-below-the-first-level", CLI,
      "return {name: _plain(getattr(value, name)) for name",
      "return {name: getattr(value, name) for name",
      ["tests/test_values.py::test_replace_and_asdict"]),
@@ -109,10 +112,20 @@ MUTANTS = [
      '{"criteria_met": True, "condition1_fails": False}',
      '{"criteria_met": True, "condition1_fails": False, "condition4_fails": False}',
      ["tests/test_cli.py::test_inverse_against_self_inconclusive"]),
-    ("check-reads-the-criterion-as-a-truth-value", "src/rankone/cli.py",
+    ("check-reads-the-criterion-as-a-truth-value", CLI,
      'threshold={growth.threshold})" if growth.holds else "")',
      'threshold={growth.threshold})" if growth else "")',
      ["tests/test_cli.py::test_check_prints_the_rewriting_criterion_without_a_witness"]),
+    # the strict argv parser: each accepts an argv that argparse rejects
+    ("strict-parser-takes-any-dash-value", CLI,
+     'if value is None or value[:1] == "-" and not value[1:].isdecimal():',
+     "if value is None:", DIFFERENTIAL),
+    ("strict-parser-takes-at-with-range", CLI,
+     "or all(name in args for name in EXCLUSIVE)", "or False", DIFFERENTIAL),
+    ("strict-parser-skips-required-options", CLI,
+     "any(o[2] for o in missing)", "False", DIFFERENTIAL),
+    ("strict-parser-reads-digits-as-decimals", CLI,
+     "not value[1:].isdecimal()", "not value[1:].isdigit()", DIFFERENTIAL),
 ]
 
 

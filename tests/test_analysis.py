@@ -16,6 +16,7 @@ from rankone.analysis import (
     TOTALLY_BAD,
     TOTALLY_GOOD,
     CandidatePair,
+    DensityReport,
     check_ab_law,
     classify,
     classify_totally,
@@ -172,6 +173,21 @@ def test_stray_occurrence_warns_on_certified_full_word():
         classify(pair)
     assert any("unexpected occurrence" in str(c.message) for c in caught)
 
+
+def test_cross_check_waits_for_the_certificate_stage(monkeypatch):
+    # the recursion places the copies of w_n only from the certificate's
+    # stage N on, so below it there is nothing to check the scan against
+    spec = parse_spec("preperiod: [r=2, s=(0); r=2, s=(0)]\ncycle: [r=2, s=(1h)]\n")
+    assert certified(spec).N == 2
+    checked = []
+    real = analysis.expected_occurrences
+    monkeypatch.setattr(analysis, "expected_occurrences",
+                        lambda spec, n, m: checked.append((n, m)) or real(spec, n, m))
+    w3 = build_word(spec, 3)
+    ones = NameWindow(0, b"1" * len(w3))
+    for n in (1, 2):
+        classify(CandidatePair(spec=spec, x=w3, y=ones, kappa=n - 1, n=n))
+    assert checked == [(2, 3)]
 
 def test_no_warning_on_genuine_windows():
     import warnings as w
@@ -406,6 +422,22 @@ def test_propagation_contradiction_after_corruption():
     assert result.reason == "bad occurrence"
 
 
+def test_propagation_stops_at_an_alignment_drift():
+    # one 1 cut from the middle gap of chacon's w_4, and one put at its end,
+    # leaves every determinate occurrence good: at rho 0 before the cut and
+    # at rho 1 after it
+    chacon = get_spec("chacon")
+    x = build_word(chacon, 4)
+    occs = classify(shift_pair(chacon, 2, 0, 4)).x_occurrences
+    cut = occs[len(occs) // 2] + len(build_word(chacon, 2))
+    pair = cut_pair(chacon, 2, x, x.letters[:cut] + x.letters[cut + 1:] + b"1")
+    cls = classify(pair)
+    assert [r.rho for r in cls.records if r.verdict != INDETERMINATE] == \
+        [0, 0, 0, 0, 1, 1, 1, 1]
+    result = propagate_goodness(pair, _good_indices(cls)[0], classification=cls)
+    assert (result.status, result.contradiction_index, result.reason) == \
+        ("contradiction", 403, "alignment drift: rho=1 != 0")
+
 def test_propagation_rejects_bad_seed():
     chacon = get_spec("chacon")
     pair, g = corrupt_gap_pair(chacon, 2, 4, 0, 100)
@@ -432,6 +464,15 @@ def test_density_on_shift_is_one():
     assert report.density == 1
     assert report.threshold == Fraction(8, 9)
     assert report.meets_threshold
+
+
+def test_density_without_a_determinate_occurrence_is_undecided():
+    # w_2 alone: its one occurrence starts the window, so its probe span
+    # leaves it
+    chacon = get_spec("chacon")
+    w2 = build_word(chacon, 2)
+    report = good_density(CandidatePair(spec=chacon, x=w2, y=w2, kappa=1, n=2))
+    assert report == DensityReport(0, 0, 1, None, Fraction(8, 9), None)
 
 
 def test_density_all_ones_image_is_zero():

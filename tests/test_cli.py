@@ -1,20 +1,22 @@
 import contextlib
 import io
 import json
+import runpy
+import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import cli
-from rankone.cli import main
+from rankone.cli import build_parser, main
 from rankone.errors import RankOneError
 from rankone.inverseiso import GROUPING_HORIZON_PERIODS
 from rankone.params import serialize_spec
 from rankone.registry import get_spec, names
-from rankone.words import build_word
+from rankone.words import NameWindow, build_word
 
 W2_CHACON = "001011110010111110010"
 
@@ -347,6 +349,15 @@ def test_injectivity_window_past_the_cap_names_m(capsys):
     assert "m=9" in err and "135444244 letters" in err
 
 
+def test_injectivity_lists_each_pair_it_cannot_separate(capsys, monkeypatch):
+    # names that never differ, as a defect in name_window would give,
+    # make every trial a failure and the verdict a refutation
+    monkeypatch.setattr("rankone.tower.name_window",
+                        lambda spec, p, a, b: NameWindow(a, b"0" * (b - a)))
+    code, out, _ = run(capsys, "injectivity", "--spec", "chacon", "--trials", "3")
+    assert code == 1 and out == "trials=3 separated=0 failures=3\n"
+
+
 def test_injectivity_seeded_reproducible(capsys):
     code1, out1, _ = run(capsys, "--format", "json", "injectivity",
                          "--spec", "hk", "--trials", "30")
@@ -464,6 +475,17 @@ def test_unencodable_payload_exits_internal(capsys, monkeypatch):
     assert err == "internal error: TypeError: object is not JSON serializable\n"
 
 
+def test_module_entry_point_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rankone", "word", "--spec", "chacon",
+                                      "--n", "2"])
+    # running a module that is already imported warns; the run is the same
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as exit_:
+        runpy.run_module("rankone.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == W2_CHACON + "\n"
+
+
 def test_orbit_steps_bound_reads_the_cap(capsys, monkeypatch):
     monkeypatch.setattr("rankone.words.DEFAULT_CAP", 3 * 256)
     argv = ["orbit", "--spec", "chacon", "--point", "1:1:0/1"]
@@ -548,3 +570,62 @@ def test_fuzzed_argv_ends_in_an_exit_code(spec_paths, argv, config):
             code = exc.code
             assert code == 2
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the strict parser against argparse, the reference it must agree with
+
+# token groups that the strict parser refuses wherever they stand, or
+# refuses in most places: help, an abbreviation, a separate value that
+# starts with "-" but is no integer, "--", a value outside the choices or
+# one that is no int, a repeat, a global option after the command, and
+# --at with --range
+SPLICED = st.sampled_from([
+    ["-h"], ["--tri", "5"], ["--window", "-3:2"], ["--spec", "-\u00b2"],
+    ["-.5"], ["--"], ["--format", "xml"], ["--n="], ["--n", "3"],
+    ["--format", "json"], ["--at", "1", "--range", "0:2"],
+])
+DASHED = st.sampled_from(["-3:2", "-\u00b2", "-.5", "-1", "-\u0663", "-", "--"])
+
+
+@st.composite
+def respelled_argvs(draw):
+    """An argv of ARGVS with each ``--key=value`` kept or written as two
+    tokens, then left whole, cut by one token, given one token that starts
+    with "-" in place of another, or spliced with a SPLICED group."""
+    argv = []
+    for token in draw(ARGVS):
+        flag, eq, value = token.partition("=")
+        argv += [flag, value] if eq and draw(st.booleans()) else [token]
+    edit = draw(st.sampled_from(["none", "cut", "dash", "splice"]))
+    i = draw(st.integers(0, len(argv) - 1))
+    if edit == "cut":
+        del argv[i]
+    elif edit == "dash":
+        argv[i] = draw(DASHED)
+    elif edit == "splice":
+        argv[i:i] = draw(SPLICED)
+    return argv
+
+
+@given(respelled_argvs())
+@example(["name", "--spec", "chacon", "--point", "0:0:1/2", "--window", "-3:2"])
+@example(["word", "--spec", "-\u00b2", "--n", "2"])
+@example(["word", "--spec", "chacon", "--n", "2", "--at", "1", "--range", "0:2"])
+@example(["word", "--spec", "chacon", "--n", "2", "--at", "1", "--at", "2"])
+@example(["word", "--spec", "chacon", "--n"])
+@example(["word", "--spec", "chacon", "--n="])
+@example(["--format", "xml", "word", "--spec", "chacon", "--n", "2"])
+@example(["word", "--spec", "chacon"])
+@example(["--seed", "-3", "injectivity", "--spec", "chacon", "--trials", "-\u0663"])
+@settings(max_examples=300, deadline=None)
+def test_strict_parser_reads_argv_as_argparse_or_refuses_it(argv):
+    strict = cli._parse(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:  # help, or an error argparse reports
+            assert strict is None
+            return
+    assert strict is None or vars(strict) == expected

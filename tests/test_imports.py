@@ -2,9 +2,10 @@
 exist, or every benchmark job fails; the package's public names must all
 resolve to their modules' objects; and a CLI call must import only the
 modules its subcommand reads, or every call pays for all of them at
-start-up; no import loads ``dataclasses`` or ``inspect``, yet the value
-types keep their dataclass contract once a caller loads ``dataclasses``.
-The job runners are read with ``ast``, not run."""
+start-up; a well-formed argv is read without ``argparse``; no import
+loads ``dataclasses`` or ``inspect``, yet the value types keep their
+dataclass contract once a caller loads ``dataclasses``.  The job runners
+are read with ``ast``, not run."""
 
 import ast
 import importlib
@@ -60,11 +61,13 @@ def _from_imports(path: Path) -> list[tuple[str, str]]:
     return found
 
 
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh(code: str, *argv: str):
     """What ``code`` prints as JSON, run in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=ENV,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
@@ -100,12 +103,22 @@ def test_package_init_imports_existing_names():
     assert set(listed) == set(starred) == PUBLIC
 
 
+def test_package_getattr_and_dir_in_process(monkeypatch):
+    # a submodule that is loaded but not bound on the package resolves
+    # through the package's __getattr__
+    words = importlib.import_module("rankone.words")
+    monkeypatch.delattr(rankone, "words")
+    assert rankone.words is words
+    assert PUBLIC <= set(dir(rankone))
+
+
 LOADED = ("import contextlib, io, sys\n"
           "from rankone import cli\n"
           "with contextlib.redirect_stdout(io.StringIO()):\n"
           "    cli.main(sys.argv[1:])\n"
           "loaded = sorted(m for m in sys.modules if m.startswith('rankone.')\n"
-          "                or m in ('json', 'fractions', 'dataclasses', 'inspect'))\n"
+          "                or m in ('json', 'fractions', 'dataclasses', 'inspect',\n"
+          "                         'argparse', 'gettext', 'locale'))\n"
           "import json\n"
           "print(json.dumps(loaded))")
 BASE = {"errors", "params", "registry"}
@@ -129,10 +142,22 @@ STDLIB = {"json", "fractions"}  # named as they are, not as rankone modules
 ])
 def test_cli_call_imports_only_its_subcommand_modules(argv, extra):
     # dataclasses and inspect are never among them: the value types
-    # register with dataclasses only when a caller asks for their fields
+    # register with dataclasses only when a caller asks for their fields;
+    # nor are argparse and the gettext and locale it loads, since a
+    # well-formed argv is read without argparse
     loaded = _fresh(LOADED, *argv.split())
     rankone_modules = BASE | (extra - STDLIB) | {"cli"}
     assert set(loaded) == {f"rankone.{m}" for m in rankone_modules} | (extra & STDLIB)
+
+
+def test_cli_leaves_a_refused_argv_to_argparse():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "word", "--spec", "chacon",
+         "--n", "x"], env=dict(ENV, COLUMNS="80"), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage: rankone word [-h] --spec SPEC --n N [--at AT | --range RANGE]\n"
+        "rankone word: error: argument --n: invalid int value: 'x'\n")
 
 
 DATACLASS_CONTRACT = """\

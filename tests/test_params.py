@@ -30,6 +30,7 @@ from rankone.params import (
     RewritingCriterionResult,
     SpacerExpr,
     StageRule,
+    Value,
     _eventual_sign,
     _period_matrix,
     certified,
@@ -52,7 +53,7 @@ from rankone.inverseiso import (
 )
 from rankone.registry import get_spec, names
 from rankone.tower import TowerPoint, name_window, refine
-from rankone.words import build_word
+from rankone.words import build_word, expected_occurrences
 
 from helpers import (
     oracle_registers,
@@ -836,11 +837,19 @@ PRE = "preperiod: [r=2, s=(1)]\ncycle: [r=3, s=(0, 1)]\n"
      ParseError, "1:14: duplicate rule field 'r'"),
     (lambda: parse_spec("cycle: [r=2]"),
      ParseError, "1:12: rule needs both r=<int> and s=(...)"),
+    (lambda: name_window(get_spec("chacon"), TowerPoint(1, 0, Fraction(1, 2)),
+                         3, 2),
+     SpecError, "need a <= b, got [3, 2)"),
+    (lambda: expected_occurrences(get_spec("chacon"), 3, 2),
+     SpecError, "need 0 <= n <= m, got n=3, m=2"),
+    (lambda: type("Listed", (Value,), {"__annotations__": {"a": "list"}, "a": []}),
+     TypeError, "Listed.a: value types take plain, hashable defaults only"),
 ], ids=["record-at", "ab-law-bad-seed", "ab-law-direction", "totally-m-below-n",
         "corrupt-ordinal", "group-count", "decide-raw", "non-iso-raw",
         "rule-schedule", "cycle-position", "view", "views", "heights",
         "numeric-without-up-to", "unknown-mode", "refine-level", "name-raw",
-        "duplicate-term", "duplicate-field", "rule-without-s"])
+        "duplicate-term", "duplicate-field", "rule-without-s", "window-a-above-b",
+        "occurrences-n-above-m", "value-mutable-default"])
 def test_input_guards_raise(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -448,6 +448,7 @@ def test_builds_examples():
     assert result.builds and result.gaps == (4, 5)
     assert builds(b"0", b"0010").gaps == (0, 1)
     assert not builds(b"00", b"0010").builds
+    assert not builds(b"0", b"020").builds  # a letter in a gap that is not 1
 
 
 def test_builds_rejects_bad_alphabet_frame():
