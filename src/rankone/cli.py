@@ -30,15 +30,14 @@ def _load_spec(ref: str) -> params.ParameterSpec:
         return registry.get_spec(ref)
     except RankOneError:
         pass
-    path = Path(ref)
-    if not path.exists():
+    try:
+        text = Path(ref).read_text()
+    except (FileNotFoundError, NotADirectoryError):
         raise RankOneError(
             f"{ref!r} is neither a registry spec ({', '.join(registry.names())}) "
             "nor a config file"
-        )
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeError) as exc:
+        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, bad UTF-8
         raise RankOneError(f"cannot read the config file: {exc}") from None
     return params.parse_spec(text)
 
@@ -55,10 +54,11 @@ def _fraction(x) -> str:
 
 
 def _json_default(obj):
-    """JSON for the result types ``json`` does not know; anything else is a
+    """JSON for the result types ``json`` does not know, one level at a time
+    (``json`` calls it again for each nested value); anything else is a
     defect in a subcommand's payload."""
     if isinstance(obj, params.Value):
-        return _plain(obj)
+        return dict(zip(obj.__match_args__, obj._field_values(obj)))
     # a Fraction exists only when its module was loaded
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(obj, fractions.Fraction):
@@ -66,16 +66,6 @@ def _json_default(obj):
     if isinstance(obj, bytes):
         return obj.decode("ascii")
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _plain(value):
-    """What ``dataclasses.asdict`` makes of a value: a record as the dict
-    of its fields, recursively through tuples and lists."""
-    if isinstance(value, params.Value):
-        return {name: _plain(getattr(value, name)) for name in value.__match_args__}
-    if isinstance(value, (tuple, list)):
-        return type(value)(_plain(item) for item in value)
-    return value
 
 
 def _verdict(holds: bool | None) -> int:

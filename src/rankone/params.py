@@ -490,10 +490,7 @@ def _stage_matrix(rule: StageRule) -> list[list[int]]:
 
 
 def _mat_mul(x, y):
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
+    return [_row_mul(row, y) for row in x]
 
 
 def _row_mul(row, m):

@@ -335,18 +335,15 @@ def builds(u: bytes, w: bytes) -> BuildsResult:
         return BuildsResult(False, None)
     gaps = []
     pos = len(u)
+    # w ends in 0, so nxt >= pos; copies of u lie inside w, so pos <= len(w)
     while pos < len(w):
         nxt = w.find(b"0", pos)
-        if nxt == -1:
-            return BuildsResult(False, None)
         if w.count(b"1", pos, nxt) != nxt - pos:
             return BuildsResult(False, None)
         if w[nxt:nxt + len(u)] != u:
             return BuildsResult(False, None)
         gaps.append(nxt - pos)
         pos = nxt + len(u)
-    if pos != len(w):
-        return BuildsResult(False, None)
     return BuildsResult(True, tuple(gaps))
 
 

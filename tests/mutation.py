@@ -47,7 +47,7 @@ MUTANTS = [
      '            namespace[f"_d_{name}"] = default\n',
      '            namespace[f"_d_{name}"] = list(fields.values())[-1][1]\n', CONTRACT),
     # the first-use descriptors of __init__ and of the dataclass fields,
-    # and the JSON walk that replaced asdict
+    # and the JSON rendering of their fields
     ("value-init-never-replaces-itself", VALUES,
      "                setattr(owner, self.name, value)\n",
      "                pass\n",
@@ -62,9 +62,9 @@ MUTANTS = [
      "        cls.__dataclass_fields__ = _OnFirstUse(",
      "        Value.__dataclass_fields__ = _OnFirstUse(",
      ["tests/test_values.py::test_subclass_registers_its_own_fields"]),
-    ("json-default-stops-below-the-first-level", CLI,
-     "return {name: _plain(getattr(value, name)) for name",
-     "return {name: getattr(value, name) for name",
+    ("json-default-renders-fields-by-repr", CLI,
+     "return dict(zip(obj.__match_args__, obj._field_values(obj)))",
+     "return dict(zip(obj.__match_args__, map(repr, obj._field_values(obj))))",
      ["tests/test_values.py::test_replace_and_asdict"]),
     # one per primitive that several callers share
     ("locate-first-run-letter-in-the-copy", PARAMS,

@@ -436,12 +436,30 @@ def spec_paths(tmp_path_factory):
     (["name", "--spec", "chacon", "--point", "5000:0:1/2", "--window", "0:0"], 2),
     (["name", "--spec", "chacon", "--point", "2:0:1/5", "--window", "a:b"], 2),
     (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y", "foo:1"], 2),
+    (["analyze", "--spec", "chacon", "--n", "2", "--m", "4", "--y",
+      "shift:727"], 2),  # |w_4| = 727
+    (["check", "--spec", "x" * 300], 2),
+    (["inverse", "--spec", "chacon", "--against", "x" * 300], 2),
 ])
 def test_bad_input_exit_codes(capsys, spec_paths, argv, code):
     argv = [v.format(**spec_paths) for v in argv]
     got, _, err = run(capsys, *argv)
     assert got == code
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ref, message", [
+    ("{missing}", "is neither a registry spec"),
+    ("{binary}/x", "is neither a registry spec"),
+    ("x" * 300, "cannot read the config file: [Errno 36] File name too long"),
+    ("{directory}", "cannot read the config file: [Errno 21] Is a directory"),
+    ("{binary}", "cannot read the config file: 'utf-8' codec"),
+    ("a\0b", "cannot read the config file: embedded null byte"),
+])
+def test_unreadable_spec_names_its_cause(capsys, spec_paths, ref, message):
+    code, out, err = run(capsys, "check", "--spec", ref.format(**spec_paths))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_inverse_horizon_defaults_to_the_grouping_horizon(capsys, monkeypatch):
