@@ -13,14 +13,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import NotCertifiedError, SpecError
-from .params import (
-    ParameterSpec,
-    Value,
-    _stage_matrix,
-    certified,
-    eventual_cycle,
-    stage_table,
-)
+from .params import ParameterSpec, Value, certified, stage_table
 from .words import _ANCHOR, NameWindow, build_word, occurrences
 
 SpacerTuple = tuple[int, ...]
@@ -106,29 +99,42 @@ class InverseVerdict(Value):
     detail: str = ""
 
 
-def _non_palindromic(stages) -> tuple[int, ...]:
-    """Indices of the rules or stage views whose spacer tuple differs from
-    its reversal."""
-    return tuple(i for i, s in enumerate(stages) if s.spacers != s.spacers[::-1])
+def _palindromic_window(spec: ParameterSpec) -> tuple[tuple[int, ...], int]:
+    """Read stages [0, t0 + 6P) of the stage table, t0 the preperiod length
+    and P the cycle length, and return the cycle positions whose spacer
+    tuple is not palindromic at some stage from t0 + 3P on, and N, one past
+    the last stage whose tuple is not palindromic.
+
+    The window is exact.  At one cycle position each difference
+    s(i) - s(r - 2 - i) is a linear function of (h, A, 1), which one period
+    advances by a fixed 3x3 matrix, so along the periods the difference
+    follows a linear recurrence of order 3 (Cayley-Hamilton).  Zero at
+    periods 3, 4 and 5, it is zero at every later period; zero from some
+    period on, it is zero from period 3 on.  So a listed position is not
+    palindromic at infinitely many stages, and when none is listed every
+    stage from N on is palindromic."""
+    t0, period = len(spec.preperiod), len(spec.cycle)
+    odd = [v.n for v in stage_table(spec).views(0, t0 + 6 * period)
+           if v.spacers != v.spacers[::-1]]
+    positions = {spec.cycle_position(n) for n in odd if n >= t0 + 3 * period}
+    return tuple(sorted(positions)), odd[-1] + 1 if odd else 0
 
 
 def decide_inverse_isomorphic(spec: ParameterSpec) -> InverseVerdict:
-    """Eventual palindromicity of the spacer tuples, decided symbolically
-    over the eventual cycle rules: a rule is palindromic when its affine
-    expressions match their reversal coefficientwise.  The reversal criterion
-    presupposes a certified partially bounded presentation, so anything
-    else is refused."""
+    """Eventual palindromicity of the spacer tuples, decided exactly from
+    the stage table over a window of six cycle periods past the preperiod.
+    The reversal criterion presupposes a certified partially bounded
+    presentation, so anything else is refused."""
     if not spec.normalized:
         raise SpecError("decide on the normalized presentation")
     certified(spec)  # raises NotCertifiedError when the hypothesis fails
-    refuting = _non_palindromic(eventual_cycle(spec))
+    refuting, N = _palindromic_window(spec)
     if refuting:
         return InverseVerdict(
             False, None, refuting_positions=refuting,
             detail=f"cycle position(s) {list(refuting)} are never palindromic",
         )
-    early = _non_palindromic(stage_table(spec).views(0, len(spec.preperiod)))
-    return InverseVerdict(True, early[-1] + 1 if early else 0)
+    return InverseVerdict(True, N)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +179,19 @@ def check_non_isomorphism(
     spacers at least the word length on both sides, and a bounded grouping
     of consecutive stages with infinitely many incompatible grouped tuples.
 
-    The stages before both cycles have started are compared on their
-    concrete values, every later stage through one common period of the
-    eventual cycle rules.  The grouping search follows the reversal
-    strategy: triples of consecutive stages anchored at non-palindromic
-    cycle positions.  The infinitude claim is established symbolically only
-    when the second spec is the coefficientwise reversal of the first;
-    otherwise a negative result means "criteria not established", never an
-    isomorphism claim.
+    Condition (1) and the reversal are read from the stage tables over
+    stages [0, pre + 5L), pre the longer preperiod and L the lcm of the
+    cycle lengths.  That window is exact: along the joint periods the
+    registers (h_A, A_A, h_B, A_B, 1) advance by one fixed 5x5 matrix, so
+    each difference of cuts, spacer sums or reversed entries follows a
+    linear recurrence of order 5 (Cayley-Hamilton), and zero at joint
+    periods 0-4 past pre it is zero at every stage.  A pair whose window
+    passes MAX_STAGE is left undecided.  The grouping search follows the
+    reversal strategy: triples of consecutive stages anchored at cycle
+    positions of the first spec that are not eventually palindromic.  The
+    infinitude claim is established only when the second spec reverses
+    the first at every stage; otherwise a negative result means "criteria
+    not established", never an isomorphism claim.
     """
     if horizon_periods < 1:
         raise SpecError(f"horizon_periods must be >= 1, got {horizon_periods}")
@@ -195,55 +206,39 @@ def check_non_isomorphism(
         )
     threshold = max(certA.N, certB.N)
     pre = max(len(specA.preperiod), len(specB.preperiod))
+    joint = lcm(len(specA.cycle), len(specB.cycle))
     tableA, tableB = stage_table(specA), stage_table(specB)
-    early = list(zip(tableA.views(0, pre), tableB.views(0, pre)))
-    cycleA, cycleB = eventual_cycle(specA), eventual_cycle(specB)
-    aligned = [
-        (cycleA[specA.cycle_position(n)], cycleB[specB.cycle_position(n)])
-        for n in range(pre, pre + lcm(len(cycleA), len(cycleB)))
-    ]
-    acc_aligned = tableA.view(pre).acc == tableB.view(pre).acc and all(
-        ra.effective_acc == rb.effective_acc for ra, rb in aligned
-    )
+    stop = pre + 5 * joint
+    try:
+        pairs = list(zip(tableA.views(0, stop), tableB.views(0, stop)))
+        positions, _ = _palindromic_window(specA)
+    except SpecError as exc:
+        return NonIsoReport(
+            False, status="not_established", commensurable=None,
+            detail=f"commensurability undecided: {exc}",
+        )
 
-    # condition (1): equal cuts and equal spacer sums at every stage, that
-    # is equal r and equal h rows of the stage matrices
-    c_used = any(e.c for ra, rb in aligned for e in ra.spacers + rb.spacers)
-    symbolic_ok = all(
-        ra.r == rb.r and _stage_matrix(ra)[0] == _stage_matrix(rb)[0]
-        for ra, rb in aligned
-    ) and (not c_used or acc_aligned)
-    stop = pre if symbolic_ok else pre + 5 * len(aligned)
-    for va, vb in zip(tableA.views(0, stop), tableB.views(0, stop)):
+    # condition (1): equal cuts and equal spacer sums at every stage
+    for va, vb in pairs:
         if va.r != vb.r or sum(va.spacers) != sum(vb.spacers):
             return NonIsoReport(
                 False, status="condition1_fails", commensurable=False,
                 detail=f"stage {va.n}: cuts or spacer sums differ",
             )
-    if not symbolic_ok:
-        return NonIsoReport(
-            False, status="not_established", commensurable=None,
-            detail="commensurability not symbolically decidable for these rules",
-        )
 
-    # condition (2): |s_n(i) - s'_n(j)| bounded, from the threshold stage on.
-    # Each certificate gives every spacer of an eventual cycle rule one (h, A)
-    # coefficient pair, and equal r with equal spacer sums makes the pairs of
-    # the two specs agree, so only the constant terms differ.
-    cross_bound = 1 + max(
-        [_cross_spread(va.spacers, vb.spacers) for va, vb in early]
-        + [_cross_spread([e.b for e in ra.spacers], [e.b for e in rb.spacers])
-           for ra, rb in aligned]
-    )
+    # condition (2): |s_n(i) - s'_n(j)| bounded, from the threshold stage on,
+    # read over the stages before pre and one joint period.  The read is
+    # exact only while each certified rule gives every spacer one (h, A)
+    # coefficient pair: equal cuts and spacer sums then fix the cross
+    # spreads at each cycle position.
+    cross_bound = 1 + max(_cross_spread(va.spacers, vb.spacers)
+                          for va, vb in pairs[:pre + joint])
 
     # condition (3) holds from the certificates' threshold on both sides.
 
-    # condition (4): grouped-tuple incompatibility, anchored at
-    # non-palindromic positions of the first spec
-    positions = _non_palindromic(cycleA)
-    is_reversal_twin = acc_aligned and all(
-        va.spacers == vb.spacers[::-1] for va, vb in early
-    ) and all(ra.spacers == rb.spacers[::-1] for ra, rb in aligned)
+    # condition (4): grouped-tuple incompatibility, anchored at the first
+    # spec's positions that are not eventually palindromic
+    is_reversal_twin = all(vb.spacers == va.spacers[::-1] for va, vb in pairs)
 
     start = max(threshold, pre)
     period = len(specA.cycle)

@@ -2,7 +2,7 @@
 
     python3 tests/mutation.py
 
-It takes thirty to forty seconds for its 24 mutants (Python 3.11 on a
+It takes thirty to fifty seconds for its 25 mutants (Python 3.11 on a
 two-vCPU virtual machine).  Each entry of MUTANTS names a file, an exact
 snippet that occurs once in it, the snippet's replacement, and the tests
 to run.  For each one the script copies the checkout's ``src/``,
@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 VALUES = PARAMS = "src/rankone/params.py"
 ANALYSIS = "src/rankone/analysis.py"
 CLI = "src/rankone/cli.py"
+INVERSEISO = "src/rankone/inverseiso.py"
 CONTRACT = ["tests/test_values.py"]
 DIFFERENTIAL = ["tests/test_cli.py::"
                 "test_strict_parser_reads_argv_as_argparse_or_refuses_it"]
@@ -79,7 +80,8 @@ MUTANTS = [
     ("period-matrix-multiplies-in-the-wrong-order", PARAMS,
      "        m = _mat_mul(_stage_matrix(spec.cycle[(position + k) % period]), m)\n",
      "        m = _mat_mul(m, _stage_matrix(spec.cycle[(position + k) % period]))\n",
-     ["tests/test_params.py::test_period_matrix_advances_the_registers_by_one_period"]),
+     ["tests/test_params.py::test_period_matrix_advances_the_registers_by_one_period",
+      "tests/test_verdict_corpus.py"]),
     ("ab-law-left-neighbour-is-the-seed", ANALYSIS,
      "(k - 1, kp - 1, k - 1)",
      "(k - 1, kp - 1, k)",
@@ -88,10 +90,16 @@ MUTANTS = [
      "    return good, bad, len(records) - good - bad\n",
      "    return good, bad, len(records) - good\n",
      ["tests/test_analysis.py::test_dichotomy_after_totally_good"]),
-    ("condition-1-compares-the-A-rows", "src/rankone/inverseiso.py",
-     "_stage_matrix(ra)[0] == _stage_matrix(rb)[0]",
-     "_stage_matrix(ra)[1] == _stage_matrix(rb)[1]",
+    # the stage-table windows that decide "equal at every later stage"
+    ("condition-1-reads-only-the-cuts", INVERSEISO,
+     "if va.r != vb.r or sum(va.spacers) != sum(vb.spacers):",
+     "if va.r != vb.r:",
      ["tests/test_inverseiso.py::test_cycle_spacer_sums_that_differ_fail_condition1"]),
+    ("palindrome-threshold-off-by-one", INVERSEISO,
+     "odd[-1] + 1 if odd else 0",
+     "odd[-1] if odd else 0",
+     ["tests/test_inverseiso.py::test_nonpalindromic_preperiod_moves_threshold",
+      "tests/test_inverseiso.py::test_palindromic_window_holds_forty_periods_on"]),
     ("eventual-sign-refutation-loses-its-minus-one", PARAMS,
      "    refute = [-row[0], -row[1], -row[2] - 1]\n",
      "    refute = [-row[0], -row[1], -row[2]]\n",
@@ -108,7 +116,7 @@ MUTANTS = [
      '{"certified": True, "refuted": False}.get(self.status)',
      '{"certified": True, "refuted": False}.get(self.status, False)',
      ["tests/test_cli.py::test_check_undecided_spec_exits_inconclusive"]),
-    ("non-iso-condition-4-reads-as-refuted", "src/rankone/inverseiso.py",
+    ("non-iso-condition-4-reads-as-refuted", INVERSEISO,
      '{"criteria_met": True, "condition1_fails": False}',
      '{"criteria_met": True, "condition1_fails": False, "condition4_fails": False}',
      ["tests/test_cli.py::test_inverse_against_self_inconclusive"]),

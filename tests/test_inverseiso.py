@@ -1,4 +1,5 @@
 import time
+from math import lcm
 from random import Random
 
 import pytest
@@ -19,14 +20,18 @@ from rankone.inverseiso import (
     star,
 )
 from rankone.params import (
+    MAX_STAGE,
     ParameterSpec,
+    PartialBoundednessCertificate,
     SpacerExpr,
     StageRule,
+    eventual_cycle,
     heights,
     normalize,
     parse_spec,
     reversed_parameters,
     rule_at,
+    stage_table,
 )
 from rankone.registry import get_spec
 from rankone.words import NameWindow, build_word, occurrences
@@ -35,9 +40,12 @@ from helpers import (
     oracle_compatible,
     oracle_occurrences,
     oracle_partial_edges,
+    oracle_registers,
     oracle_rewrite,
     random_certified_spec,
+    random_full_grammar_spec,
     random_growth_spec,
+    random_normalized_spec,
     random_palindromic_certified_spec,
 )
 
@@ -323,17 +331,57 @@ def test_preperiod_with_unequal_growth_is_decided():
     assert report.cross_bound == 2 and report.witness.stage == 1
 
 
-def test_commensurability_not_symbolically_decidable():
+def test_spacers_equal_at_every_stage_are_commensurable():
     # the second spec's spacer reads 1h+1A against the first's 2h: A tracks
-    # h, so the spacers agree at every stage, but not as expressions
+    # h, so the spacers agree at every stage, though not as expressions
     spec_a = parse_spec("preperiod: [r=2, s=(0)]; cycle: [r=2, s=(2h)]")
     spec_b = parse_spec("preperiod: [r=2, s=(0), acc=2]; "
                         "cycle: [r=2, s=(1h+1A), acc=3h]")
     report = check_non_isomorphism(spec_a, spec_b)
-    assert not report.criteria_met and report.status == "not_established"
-    assert report.commensurable is None
-    assert report.detail == \
-        "commensurability not symbolically decidable for these rules"
+    assert report.status == "condition4_fails"
+    assert report.commensurable is True
+
+
+def test_reversal_twin_written_differently_meets_the_criteria():
+    # the second spec's A register grows by 1 a stage, but no spacer reads it
+    spec_a = parse_spec("cycle: [r=3, s=(1h, 1h+1)]")
+    spec_b = parse_spec("cycle: [r=3, s=(1h+1, 1h), acc=1]")
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert report.status == "criteria_met" and report.commensurable is True
+    assert report.witness.t_prime == reverse(report.witness.t)
+
+
+def test_a_joint_window_past_max_stage_is_undecided():
+    # cycles of 29 and 31 rules: the exact window pre + 5L ends at stage
+    # 5 * 29 * 31 - 1 = 4494
+    spec_a, spec_b = (parse_spec("cycle: [" + "; ".join(["r=2, s=(1h)"] * k) + "]")
+                      for k in (29, 31))
+    report = check_non_isomorphism(spec_a, spec_b)
+    assert report.status == "not_established" and report.commensurable is None
+    assert report.detail == ("commensurability undecided: stage 4494 exceeds "
+                             f"MAX_STAGE = {MAX_STAGE}")
+
+
+def _stub_certificate(spec):
+    return PartialBoundednessCertificate(R_frak=4, S_frak=1, N=1,
+                                         verified_mode="stub")
+
+
+def test_spec_P_is_palindromic_once_certified(monkeypatch):
+    # ROADMAP.md's spec P: from stage 1 on A_n = h_n, so the tuples
+    # (h_n, A_n) read (2, 2), (10, 10), ...: palindromic, though 1h and 1A
+    # differ as expressions
+    spec = parse_spec("preperiod: [r=2, s=(0), acc=2]; "
+                      "cycle: [r=3, s=(1h, 1A), acc=4h]")
+    with pytest.raises(NotCertifiedError):
+        decide_inverse_isomorphic(spec)
+    monkeypatch.setattr(inverseiso, "certified", _stub_certificate)
+    verdict = decide_inverse_isomorphic(spec)
+    assert verdict.isomorphic_to_inverse and verdict.N == 0
+    assert all(v.spacers == v.spacers[::-1]
+               for v in stage_table(spec).views(verdict.N, 40))
+    report = check_non_isomorphism(spec, reversed_parameters(spec))
+    assert not report.criteria_met and report.status == "condition4_fails"
 
 
 def test_incompatible_grouping_without_symbolic_argument():
@@ -378,6 +426,76 @@ def test_reversed_twin_criteria_met_on_random_specs():
             found += 1
         else:
             assert report.status == "condition4_fails"
+
+
+# ---------------------------------------------------------------------------
+# the stage windows against the register oracle
+
+
+def _oracle_stages(spec, stop):
+    """(r, spacer tuple) of each stage below stop, evaluated on the
+    registers of oracle_registers."""
+    out = []
+    for n, (h, acc) in enumerate(oracle_registers(spec, stop)):
+        rule = spec.rule_schedule(n)
+        out.append((rule.r, tuple(e.a * h + e.c * acc + e.b for e in rule.spacers)))
+    return out
+
+
+def _window_specs():
+    """Thirty normalized specs from each generator of tests/helpers.py."""
+    specs = []
+    for k, generate in enumerate((random_growth_spec, random_certified_spec,
+                                  random_normalized_spec,
+                                  random_palindromic_certified_spec,
+                                  random_full_grammar_spec)):
+        rng = Random(3400 + k)
+        while len(specs) < 30 * (k + 1):
+            spec = generate(rng)
+            try:
+                specs.append(normalize(spec))
+            except SpecError:
+                continue
+    return specs
+
+
+def test_palindromic_window_holds_forty_periods_on():
+    # the positions listed are those not palindromic at some stage 40
+    # periods past the window, and with none listed no stage from N on is
+    for spec in _window_specs():
+        t0, period = len(spec.preperiod), len(spec.cycle)
+        positions, N = inverseiso._palindromic_window(spec)
+        stages = _oracle_stages(spec, t0 + 46 * period)
+        odd = [n for n, (_, s) in enumerate(stages) if s != s[::-1]]
+        later = {(n - t0) % period for n in odd if n >= t0 + 6 * period}
+        assert positions == tuple(sorted(later)), spec
+        if not positions:
+            assert N == (odd[-1] + 1 if odd else 0), spec
+
+
+def test_joint_window_holds_forty_periods_on(monkeypatch):
+    # against its reversal, itself rewritten through its eventual cycle
+    # (equal at every stage, written differently), that rewrite reversed,
+    # and the next spec: condition (1) fails at the first stage the
+    # registers tell apart, or at none, and a reversal claim holds
+    monkeypatch.setattr(inverseiso, "certified", _stub_certificate)
+    specs = _window_specs()
+    for spec, following in zip(specs, specs[1:] + specs[:1]):
+        rewritten = spec.replace(cycle=eventual_cycle(spec))
+        for other in (reversed_parameters(spec), rewritten,
+                      reversed_parameters(rewritten), following):
+            report = check_non_isomorphism(spec, other, 1)
+            joint = lcm(len(spec.cycle), len(other.cycle))
+            stop = max(len(spec.preperiod), len(other.preperiod)) + 45 * joint
+            pairs = list(zip(_oracle_stages(spec, stop), _oracle_stages(other, stop)))
+            differ = [n for n, ((ra, sa), (rb, sb)) in enumerate(pairs)
+                      if ra != rb or sum(sa) != sum(sb)]
+            if report.status == "condition1_fails":
+                assert report.detail == f"stage {differ[0]}: cuts or spacer sums differ"
+            else:
+                assert report.commensurable and not differ, (spec, other)
+            if report.status == "criteria_met":
+                assert all(sb == sa[::-1] for (_, sa), (_, sb) in pairs)
 
 
 # ---------------------------------------------------------------------------
